@@ -17,14 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateProblemError, InputError
+from .matrix_game import _as_float_array
 from .risk import MitigatingRiskParams, risk_mitigating
 
 
-def _coeff_array(values, name: str) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} are not numeric: {exc}") from None
+def finite_triple(values, name: str) -> tuple[float, float, float]:
+    """Exactly three finite numbers, as a tuple of floats."""
+    arr = _as_float_array(values, name, 1)
+    if arr.shape != (3,):
+        raise InputError(f"three finite {name} are required")
+    return tuple(float(v) for v in arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,12 +37,10 @@ class QuadraticObjective:
     lin: np.ndarray
 
     def __post_init__(self):
-        quad = _coeff_array(self.quad, "quadratic coefficients")
-        lin = _coeff_array(self.lin, "linear coefficients")
-        if quad.ndim != 1 or quad.shape != lin.shape:
-            raise InputError("quadratic coefficients need matching 1-d shapes")
-        if not (np.all(np.isfinite(quad)) and np.all(np.isfinite(lin))):
-            raise InputError("objective coefficients must be finite")
+        quad = _as_float_array(self.quad, "quadratic coefficients", 1)
+        lin = _as_float_array(self.lin, "linear coefficients", 1)
+        if quad.shape != lin.shape:
+            raise InputError("quadratic and linear coefficients need matching shapes")
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
 
@@ -69,11 +69,8 @@ class AffineObjective:
     offset: float = 0.0
 
     def __post_init__(self):
-        lin = _coeff_array(self.lin, "affine coefficients")
-        if lin.ndim != 1 or not np.all(np.isfinite(lin)) or not np.isfinite(self.offset):
-            raise InputError("affine coefficients must be a finite vector")
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "lin", _as_float_array(self.lin, "affine coefficients", 1))
+        object.__setattr__(self, "offset", float(_as_float_array(self.offset, "affine offset", 0)))
 
     @property
     def dimension(self) -> int:
@@ -125,11 +122,8 @@ class AffineConstraint:
     b: float = 0.0
 
     def __post_init__(self):
-        a = _coeff_array(self.a, "constraint coefficients")
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or not np.isfinite(self.b):
-            raise InputError("affine constraint needs a finite coefficient vector")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "a", _as_float_array(self.a, "constraint coefficients", 1))
+        object.__setattr__(self, "b", float(_as_float_array(self.b, "constraint offset", 0)))
 
     def value(self, d: np.ndarray) -> float:
         return float(self.a @ d) + self.b
@@ -193,12 +187,7 @@ class TosgProblem:
         constraints = tuple(self.constraints)
         if len(constraints) != 3:
             raise InputError("exactly three constraints are required")
-        try:
-            targets = tuple(float(t) for t in self.targets)
-        except (TypeError, ValueError):
-            raise InputError("targets must be numbers") from None
-        if len(targets) != 3 or any(not np.isfinite(t) for t in targets):
-            raise InputError("three finite targets are required")
+        targets = finite_triple(self.targets, "targets")
         obj_dim = getattr(self.objective, "dimension", None)
         if obj_dim is not None and obj_dim != self.dimension:
             raise InputError(f"objective dimension {obj_dim} != problem dimension {self.dimension}")
@@ -254,11 +243,9 @@ class TosgSolution:
 
 
 def _check_vector(problem: TosgProblem, d) -> np.ndarray:
-    d = _coeff_array(d, "decision vector")
+    d = _as_float_array(d, "decision vector", 1)
     if d.shape != (problem.dimension,):
         raise InputError(f"decision vector must have shape ({problem.dimension},)")
-    if not np.all(np.isfinite(d)):
-        raise InputError("decision vector must be finite")
     return d
 
 
@@ -290,12 +277,7 @@ def constraint_targets_from_risk(
     it continuously to ce = 0.  The composition is this toolkit's own
     documented convention.
     """
-    try:
-        baselines = tuple(float(b) for b in baselines)
-    except (TypeError, ValueError):
-        raise InputError("baselines must be numbers") from None
-    if len(baselines) != 3 or any(not np.isfinite(b) for b in baselines):
-        raise InputError("three finite baselines are required")
+    baselines = finite_triple(baselines, "baselines")
     out = []
     for params, baseline in zip((risk_pti, risk_tm, risk_gaa), baselines):
         normalized = risk_mitigating(replace(params, ce=1.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .matrix_game import MixedStrategy, PayoffMatrix, solve_exact
+from .matrix_game import MixedStrategy, PayoffMatrix, _time_table, solve_exact
 
 # Admits the 21-point grid with 2-vs-6 attempts (11,395,440 pure pairs).
 MAX_STRATEGY_PAIRS = 12_000_000
@@ -46,20 +46,10 @@ class AccuracyFunction:
             if self.points is not None:
                 raise InputError("power accuracy takes no table")
         elif self.kind == "table":
-            try:
-                pts = tuple((float(t), float(v)) for t, v in (self.points or ()))
-            except (TypeError, ValueError):
-                raise InputError("table points must be (t, value) number pairs") from None
-            if len(pts) < 2:
-                raise InputError("table accuracy needs at least two points")
-            ts = [t for t, _ in pts]
+            pts = _time_table(self.points, "accuracy table")
             vs = [v for _, v in pts]
-            if ts[0] != 0.0 or ts[-1] != 1.0:
-                raise InputError("table must span t = 0 to t = 1")
             if vs[0] != 0.0 or vs[-1] != 1.0:
                 raise InputError("accuracy must be 0 at t = 0 and 1 at t = 1")
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise InputError("table times must be strictly increasing")
             if any(b < a for a, b in zip(vs, vs[1:])):
                 raise InputError("accuracy values must be nondecreasing")
             if any(not 0.0 <= v <= 1.0 for v in vs):
@@ -95,10 +85,6 @@ class AccuracyFunction:
 
     @classmethod
     def table(cls, points) -> "AccuracyFunction":
-        try:
-            points = tuple(tuple(p) for p in points)
-        except TypeError:
-            raise InputError("table points must be (t, value) pairs") from None
         return cls("table", points=points)
 
     @classmethod

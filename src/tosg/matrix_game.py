@@ -35,6 +35,17 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _time_table(points, name: str) -> tuple[tuple[float, float], ...]:
+    """(t, value) pairs of finite numbers whose times increase strictly from 0 to 1."""
+    table = _as_float_array(points, name, 2)
+    if table.shape[0] < 2 or table.shape[1] != 2:
+        raise InputError(f"{name} needs at least two (t, value) pairs")
+    ts = table[:, 0]
+    if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
+        raise InputError(f"{name} times must increase strictly from 0 to 1")
+    return tuple((float(t), float(v)) for t, v in table)
+
+
 @dataclass(frozen=True, eq=False)
 class PayoffMatrix:
     """Payoff to the row player for every pure-strategy pair.
@@ -232,10 +243,10 @@ def _normalized(x: np.ndarray) -> np.ndarray:
 def solve_exact(game: PayoffMatrix, tol: float = 1e-9) -> GameSolution:
     """Solve the game by linear programming.
 
-    Maximizes v subject to sigma^T A >= v per column (and the symmetric
-    program for the column player).  The reported value is the midpoint of
-    the verified security levels of the two returned strategies and the
-    residual is their gap, so the saddle contract
+    One HiGHS program maximizes v subject to sigma^T A >= v per column; the
+    column strategy is read from the duals of those column constraints.  The
+    reported value is the midpoint of the verified security levels of the two
+    returned strategies and the residual is their gap, so the saddle contract
 
         payoff(sigma*, any pure column) >= value - residual
         payoff(any pure row, tau*) <= value + residual
@@ -264,23 +275,9 @@ def solve_exact(game: PayoffMatrix, tol: float = 1e-9) -> GameSolution:
     if row.status != 0:
         raise SolverError(f"row LP failed: {row.message}")
 
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    col = linprog(
-        c,
-        A_ub=np.column_stack([a, -np.ones(m)]),
-        b_ub=np.zeros(m),
-        A_eq=np.concatenate([np.ones(n), [0.0]])[None, :],
-        b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)],
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if col.status != 0:
-        raise SolverError(f"column LP failed: {col.message}")
-
     sigma = _normalized(row.x[:m])
-    tau = _normalized(col.x[:n])
+    # HiGHS reports the duals of <= rows as nonpositive; negated they are tau*.
+    tau = _normalized(-row.ineqlin.marginals)
     lower, upper = _verified_bounds(game, sigma, tau)
     gap = max(upper - lower, 0.0)
     if gap > tol:

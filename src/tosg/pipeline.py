@@ -22,11 +22,13 @@ from .decision import (
     TosgSolution,
     constraint_from_dict,
     constraint_targets_from_risk,
+    finite_triple,
     objective_from_dict,
     solve_tosg,
     tosg_value,
 )
 from .errors import InputError, StageError
+from .matrix_game import _time_table
 from .risk import MitigatingRiskParams, risk_mitigating
 from .timing import (
     TimingKernel,
@@ -84,13 +86,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if set(self.risks) != set(CONSTRAINT_KEYS):
             raise InputError(f"risks must have exactly the keys {CONSTRAINT_KEYS}")
-        try:
-            baselines = tuple(float(b) for b in self.baselines)
-        except (TypeError, ValueError):
-            raise InputError("baselines must be numbers") from None
-        if len(baselines) != 3 or any(not np.isfinite(b) for b in baselines):
-            raise InputError("three finite baselines are required")
-        object.__setattr__(self, "baselines", baselines)
+        object.__setattr__(self, "baselines", finite_triple(self.baselines, "baselines"))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not np.isfinite(self.imbed_weight) or self.imbed_weight < 0.0:
             raise InputError("imbedding weight must be finite and nonnegative")
@@ -100,18 +96,7 @@ class ProtocolConfig:
         if not isinstance(score, dict) or score.get("kind") not in ("decision_path", "table"):
             raise InputError("score must be a decision_path or table document")
         if score["kind"] == "table":
-            pts = score.get("points")
-            try:
-                pts = [(float(t), float(v)) for t, v in (pts or ())]
-            except (TypeError, ValueError):
-                raise InputError("score table points must be (t, value) pairs") from None
-            if len(pts) < 2:
-                raise InputError("score table needs at least two points")
-            ts = [t for t, _ in pts]
-            if ts[0] != 0.0 or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])):
-                raise InputError("score table times must increase strictly from 0 to 1")
-            if any(not np.isfinite(v) for _, v in pts):
-                raise InputError("score table values must be finite")
+            _time_table(score.get("points"), "score table")
         object.__setattr__(self, "score", score)
         # Kernel generator and grid validated eagerly so run_protocol fails fast.
         kernel_fn_from_spec(self.kernel_a)

@@ -9,6 +9,7 @@ game value is therefore 0 and both players share one optimal strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,9 @@ class TimingKernel:
 
     grid: np.ndarray
     a_upper: np.ndarray  # A(x_i, x_j) for i <= j, NaN below the diagonal
-    matrix: np.ndarray
 
     def __post_init__(self):
-        for name in ("grid", "a_upper", "matrix"):
+        for name in ("grid", "a_upper"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -38,10 +38,16 @@ class TimingKernel:
             raise InputError("kernel grid needs at least 3 points")
         if self.grid[0] != 0.0 or self.grid[-1] != 1.0 or np.any(np.diff(self.grid) <= 0):
             raise InputError("grid must increase strictly from 0 to 1")
-        if self.matrix.shape != (n, n) or self.a_upper.shape != (n, n):
-            raise InputError("kernel matrices must be square over the grid")
-        if not np.array_equal(self.matrix, -self.matrix.T):
-            raise InputError("kernel matrix must be exactly skew-symmetric")
+        if self.a_upper.shape != (n, n):
+            raise InputError("a_upper must be square over the grid")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """A above the diagonal, zeros on it, -A transposed below."""
+        strict = np.triu(self.a_upper, k=1)
+        matrix = strict - strict.T
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def grid_n(self) -> int:
@@ -81,9 +87,8 @@ def _evaluate_upper(a, grid: np.ndarray) -> np.ndarray:
 
 
 def kernel_from_upper(grid: np.ndarray, a_upper: np.ndarray) -> TimingKernel:
-    """Assemble the skew-symmetric matrix from triangle values of A."""
-    strict = np.triu(a_upper, k=1)
-    return TimingKernel(grid=grid, a_upper=a_upper, matrix=strict - strict.T)
+    """Kernel over the grid from triangle values of A."""
+    return TimingKernel(grid=grid, a_upper=a_upper)
 
 
 def build_kernel(a, grid_n: int) -> TimingKernel:
@@ -263,13 +268,8 @@ def solve_timing(kernel: TimingKernel, tol: float = 1e-9) -> TimingSolution:
     )
     solution = solve_exact(game, tol=tol)
     strategy = solution.row_strategy
-    weights = strategy.on_grid()
-    has_zero_atom = bool(weights[0] > ATOM_TOL)
-    positive = np.nonzero(weights[1:] > ATOM_TOL)[0] + 1
-    if positive.size:
-        support_lo = float(kernel.grid[positive[0]])
-    else:
-        support_lo = 0.0  # all mass at the origin atom
+    points, has_zero_atom = spectrum(strategy, kernel)
+    support_lo = float(points[0]) if points.size else 0.0  # all mass at the origin atom
     residual_eq11, residual_eq12 = verify_optimality(kernel, strategy)
     return TimingSolution(
         value=solution.value,

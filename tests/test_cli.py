@@ -96,6 +96,15 @@ class TestSimulateDuel:
         assert code == 2
         assert "x" in err
 
+    def test_nan_table_time_rejected(self, tmp_path, capsys):
+        table = {"kind": "table", "points": [[0, 0], [float("nan"), 0.5], [1, 1]]}
+        path = write(tmp_path, "duel.json", {"m": 1, "n": 1, "p": table,
+                                             "q": {"kind": "identity"},
+                                             "x": [0.5], "y": [0.6]})
+        code, out, err = run(capsys, "simulate-duel", path, "--seed", "1")
+        assert code == 2
+        assert out == "" and err != ""
+
 
 class TestSolveDuelCommand:
     def test_json_output(self, tmp_path, capsys):
@@ -212,6 +221,15 @@ class TestRunProtocol:
         lines = out.strip().splitlines()
         assert lines[0] == "t,weight,cdf"
         assert len(lines) == 202
+
+    def test_nan_score_table_time_rejected_before_stages(self, tmp_path, capsys):
+        doc = json.loads((DATA / "golden_protocol_config.json").read_text())
+        points = [[0.0, 0.0], [float("nan"), 0.5], [1.0, 1.0]]
+        doc["score"] = {"kind": "table", "points": points}
+        code, out, err = run(capsys, "run-protocol", write(tmp_path, "config.json", doc))
+        assert code == 2
+        assert out == "" and err != ""
+        assert "stage" not in err
 
 
 class TestCliContract:

@@ -28,6 +28,8 @@ from tosg.timing import kernel_from_spec
         lambda: MitigatingRiskParams(pi="p", pn=0.5, ce=1.0),
         lambda: objective_from_dict({"kind": "quadratic", "q": ["q"], "c": [0.0]}),
         lambda: constraint_from_dict({"kind": "coord", "index": "first"}),
+        lambda: objective_from_dict({"kind": "affine", "c": [1, 1, 1], "b": "x"}),
+        lambda: constraint_from_dict({"kind": "affine", "a": [1, 1, 1], "b": [1, 2]}),
         lambda: TosgProblem.from_dict(
             {
                 "objective": {"kind": "affine", "c": [1, 1, 1]},

@@ -26,6 +26,17 @@ matrix_strategy = st.integers(1, 8).flatmap(
     )
 )
 
+# Small-integer entries with a repeated column: the column strategy (the row
+# LP's duals) is not unique.
+degenerate_strategy = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 4).flatmap(
+        lambda k: st.tuples(
+            arrays(np.float64, (m, k), elements=st.integers(-3, 3).map(float)),
+            st.lists(st.integers(0, k - 1), min_size=k + 1, max_size=2 * k + 2),
+        )
+    )
+).map(lambda pair: pair[0][:, pair[1]])
+
 
 def saddle_violation(game: PayoffMatrix, solution: GameSolution) -> float:
     """Worst violation of the saddle inequalities against pure strategies."""
@@ -146,8 +157,8 @@ class TestSolveExact:
         assert solution.col_strategy.weights == pytest.approx([0.25, 0.75], abs=1e-9)
         assert saddle_violation(game, solution) <= 1e-9
 
-    @settings(max_examples=40, deadline=None)
-    @given(matrix_strategy)
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(matrix_strategy, degenerate_strategy))
     def test_saddle_contract_random(self, entries):
         game = PayoffMatrix(entries)
         solution = solve_exact(game)
