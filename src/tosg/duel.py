@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, SolverError
 from .matrix_game import MixedStrategy, PayoffMatrix, _time_table, solve_exact
 
-# Admits the 21-point grid with 2-vs-6 attempts (11,395,440 pure pairs).
+# Admits the 21-point grid with 2-vs-6 attempts (11,395,440 pure pairs) in
+# discretize_duel; solve_duel holds its best-response tables, restricted
+# games and profile arrays to the same size.
 MAX_STRATEGY_PAIRS = 12_000_000
 SUPPORT_TOL = 1e-6
 _SIM_CHUNK = 1 << 14
@@ -175,7 +177,9 @@ class DuelSolution:
     """Value and optimal time densities of a discretized duel.
 
     For multi-shot players the density is the per-shot time marginal of the
-    optimal mixture over sorted time subsets.
+    optimal mixture over sorted time subsets.  ``residual`` is the verified
+    saddle gap against the full discretized game; it is not part of the
+    serialized output.
     """
 
     value: float
@@ -184,6 +188,7 @@ class DuelSolution:
     support_p1: tuple[float, float]
     support_p2: tuple[float, float]
     grid_n: int
+    residual: float
 
     def to_dict(self) -> dict:
         return {
@@ -282,11 +287,15 @@ def _strategy_subsets(grid_n: int, shots: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(grid_n), shots)), dtype=int)
 
 
-def _guard_pairs(spec: DuelSpec, grid_n: int, max_pairs: int) -> None:
+def _check_grid(spec: DuelSpec, grid_n: int) -> None:
     if grid_n < 2:
         raise InputError("grid needs at least 2 points")
     if grid_n < max(spec.m, spec.n):
         raise InputError(f"grid of {grid_n} points cannot host {max(spec.m, spec.n)} distinct shots")
+
+
+def _guard_pairs(spec: DuelSpec, grid_n: int, max_pairs: int) -> None:
+    _check_grid(spec, grid_n)
     pairs = math.comb(grid_n, spec.m) * math.comb(grid_n, spec.n)
     if pairs > max_pairs:
         raise ResourceLimitError(
@@ -295,12 +304,24 @@ def _guard_pairs(spec: DuelSpec, grid_n: int, max_pairs: int) -> None:
         )
 
 
-def _survival_profile(incidence: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    # survival[s, g] = probability all of strategy s's shots strictly before
-    # grid point g have missed.
+def _hits(spec: DuelSpec, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grid = np.linspace(0.0, 1.0, grid_n)
+    return grid, np.asarray(spec.p(grid), dtype=float), np.asarray(spec.q(grid), dtype=float)
+
+
+def _profiles(subsets: np.ndarray, hit: np.ndarray, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alive and fire profiles of sorted shot subsets on the grid.
+
+    alive[s, g] is the probability that every shot of subset s strictly
+    before grid point g has missed; fire[s, g] = alive[s, g] * hit[g] where
+    s fires at g, and 0 elsewhere.
+    """
+    incidence = np.zeros((len(subsets), grid_n))
+    incidence[np.arange(len(subsets))[:, None], subsets] = 1.0
     factors = np.where(incidence > 0.0, 1.0 - hit[None, :], 1.0)
     shifted = np.concatenate([np.ones((factors.shape[0], 1)), factors[:, :-1]], axis=1)
-    return np.cumprod(shifted, axis=1)
+    alive = np.cumprod(shifted, axis=1)
+    return alive, alive * (hit[None, :] * incidence)
 
 
 def discretize_duel(
@@ -317,28 +338,92 @@ def discretize_duel(
     which factors into two small matrix products over the grid axis.
     """
     _guard_pairs(spec, grid_n, max_pairs)
-    grid = np.linspace(0.0, 1.0, grid_n)
-    p_hit = np.asarray(spec.p(grid), dtype=float)
-    q_hit = np.asarray(spec.q(grid), dtype=float)
-
-    rows = _strategy_subsets(grid_n, spec.m)
-    cols = _strategy_subsets(grid_n, spec.n)
-    row_inc = np.zeros((len(rows), grid_n))
-    row_inc[np.arange(len(rows))[:, None], rows] = 1.0
-    col_inc = np.zeros((len(cols), grid_n))
-    col_inc[np.arange(len(cols))[:, None], cols] = 1.0
-
-    row_alive = _survival_profile(row_inc, p_hit)
-    col_alive = _survival_profile(col_inc, q_hit)
-    row_fire = row_alive * (p_hit[None, :] * row_inc)
-    col_fire = col_alive * (q_hit[None, :] * col_inc)
-    entries = row_fire @ col_alive.T - row_alive @ col_fire.T
-
+    grid, p_hit, q_hit = _hits(spec, grid_n)
+    row_alive, row_fire = _profiles(_strategy_subsets(grid_n, spec.m), p_hit, grid_n)
+    col_alive, col_fire = _profiles(_strategy_subsets(grid_n, spec.n), q_hit, grid_n)
     return PayoffMatrix(
-        entries=entries,
+        entries=row_fire @ col_alive.T - row_alive @ col_fire.T,
         row_labels=grid if spec.m == 1 else None,
         col_labels=grid if spec.n == 1 else None,
     )
+
+
+def _best_response(
+    opp_alive: np.ndarray, opp_fire: np.ndarray, hit: np.ndarray, shots: int
+) -> tuple[float, tuple[int, ...]]:
+    """Best sorted shot subset against an opponent's mixed profile, and its gain.
+
+    A player's gain against the opponent's expected alive profile A and fire
+    profile F is sum_g alive[g] * (hit[g] * fires[g] * A[g] - F[g]), so a
+    backward pass over the grid with state "shots left" finds the maximum
+    over every subset:
+
+        W(g, k) = max(W(g+1, k) - F[g],
+                      hit[g] A[g] - F[g] + (1 - hit[g]) W(g+1, k-1))
+
+    with W(G, 0) = 0 and -inf on states with more shots than grid points
+    left.  The firing branch reads only feasible, finite states, so a sure
+    hit (hit[g] = 1) never multiplies 0 by inf.
+    """
+    grid_n = hit.shape[0]
+    value = np.full(shots + 1, -np.inf)
+    value[0] = 0.0
+    fires = np.zeros((grid_n, shots + 1), dtype=bool)
+    for g in range(grid_n - 1, -1, -1):
+        top = min(shots, grid_n - g)
+        hold = value[: top + 1] - opp_fire[g]
+        fire = hit[g] * opp_alive[g] - opp_fire[g] + (1.0 - hit[g]) * value[:top]
+        fires[g, 1 : top + 1] = fire > hold[1:]
+        value[0] = hold[0]
+        value[1 : top + 1] = np.maximum(hold[1:], fire)
+    subset, left = [], shots
+    for g in range(grid_n):
+        if left and fires[g, left]:
+            subset.append(g)
+            left -= 1
+    return float(value[shots]), tuple(subset)
+
+
+class _Pool:
+    """One player's sorted shot subsets in the restricted game, with their profiles."""
+
+    def __init__(self, subsets: list[tuple[int, ...]], hit: np.ndarray):
+        self.subsets = list(subsets)
+        self.hit = hit
+        self.alive, self.fire = _profiles(np.array(self.subsets), hit, hit.shape[0])
+
+    def __contains__(self, subset: tuple[int, ...]) -> bool:
+        return subset in self.subsets
+
+    def __len__(self) -> int:
+        return len(self.subsets)
+
+    def add(self, subset: tuple[int, ...]) -> None:
+        alive, fire = _profiles(np.array([subset]), self.hit, self.hit.shape[0])
+        self.subsets.append(subset)
+        self.alive = np.vstack([self.alive, alive])
+        self.fire = np.vstack([self.fire, fire])
+
+    def mixed(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Expected alive and fire profiles of a mixture over the subsets."""
+        return weights @ self.alive, weights @ self.fire
+
+
+def _seed_subsets(grid_n: int, shots: int) -> list[tuple[int, ...]]:
+    # A one-shot player's subsets are the grid points; a multi-shot player
+    # starts from its latest firing times.
+    if shots == 1:
+        return [(g,) for g in range(grid_n)]
+    return [tuple(range(grid_n - shots, grid_n))]
+
+
+def _guard_restricted(rows: int, cols: int, grid_n: int) -> None:
+    cells = max(rows * cols, rows * grid_n, cols * grid_n)
+    if cells > MAX_STRATEGY_PAIRS:
+        raise ResourceLimitError(
+            f"restricted game of {rows} x {cols} subsets on {grid_n} grid points needs "
+            f"{cells} cells, over the cap of {MAX_STRATEGY_PAIRS} strategy pairs; use a smaller grid"
+        )
 
 
 def _time_marginal(weights: np.ndarray, subsets: np.ndarray, grid_n: int, shots: int) -> np.ndarray:
@@ -353,25 +438,65 @@ def _support_interval(grid: np.ndarray, weights: np.ndarray) -> tuple[float, flo
     return lo, 1.0
 
 
-def solve_duel(
-    spec: DuelSpec,
-    grid_n: int,
-    max_pairs: int = MAX_STRATEGY_PAIRS,
-    tol: float = 1e-9,
-) -> DuelSolution:
-    """Solve the discretized duel and report per-shot time densities."""
-    game = discretize_duel(spec, grid_n, max_pairs)
-    solution = solve_exact(game, tol=tol)
-    grid = np.linspace(0.0, 1.0, grid_n)
+def solve_duel(spec: DuelSpec, grid_n: int, tol: float = 1e-9) -> DuelSolution:
+    """Solve the discretized duel by double oracle and report per-shot time densities.
 
-    p1 = _time_marginal(solution.row_strategy.weights, _strategy_subsets(grid_n, spec.m), grid_n, spec.m)
-    p2 = _time_marginal(solution.col_strategy.weights, _strategy_subsets(grid_n, spec.n), grid_n, spec.n)
+    The game is the one discretize_duel builds, but the full matrix is never
+    formed.  Each round solves the restricted game over the subsets found so
+    far and adds each player's exact best response over all sorted subsets
+    of the grid (_best_response).  Those responses bound the full game's
+    value: ``lower`` is what the column player can hold the row mixture to,
+    ``upper`` what the row player can get off the column mixture.  The loop
+    stops once upper - lower <= tol; value is their midpoint and residual
+    their gap, so the saddle contract holds against the full game.
 
+    A one-shot player starts with every grid point, so a 1-vs-1 duel is one
+    round on the full matrix; a multi-shot player starts from its latest
+    firing times.  The pair cap MAX_STRATEGY_PAIRS bounds the best-response
+    tables (grid_n * (shots + 1)) and every restricted game and profile,
+    checked before allocation; 2-vs-6 attempts solve well past grid 21.
+    """
+    _check_grid(spec, grid_n)
+    states = grid_n * (max(spec.m, spec.n) + 1)
+    if states > MAX_STRATEGY_PAIRS:
+        raise ResourceLimitError(
+            f"grid of {grid_n} points with up to {max(spec.m, spec.n)} shots needs {states} "
+            f"best-response states, over the cap of {MAX_STRATEGY_PAIRS} strategy pairs; "
+            "use a smaller grid"
+        )
+    # The seed sizes of _seed_subsets, checked before the seeds are built.
+    _guard_restricted(*(grid_n if shots == 1 else 1 for shots in (spec.m, spec.n)), grid_n)
+    grid, p_hit, q_hit = _hits(spec, grid_n)
+    rows = _Pool(_seed_subsets(grid_n, spec.m), p_hit)
+    cols = _Pool(_seed_subsets(grid_n, spec.n), q_hit)
+    while True:
+        game = PayoffMatrix(rows.fire @ cols.alive.T - rows.alive @ cols.fire.T)
+        restricted = solve_exact(game, tol=tol)
+        sigma = restricted.row_strategy.weights
+        tau = restricted.col_strategy.weights
+        col_gain, col_best = _best_response(*rows.mixed(sigma), q_hit, spec.n)
+        upper, row_best = _best_response(*cols.mixed(tau), p_hit, spec.m)
+        lower = -col_gain
+        gap = max(upper - lower, 0.0)
+        if gap <= tol:
+            break
+        new_row, new_col = row_best not in rows, col_best not in cols
+        if not (new_row or new_col):
+            raise SolverError(f"double oracle stalled at verified gap {gap:.3e} above tol {tol:.3e}")
+        _guard_restricted(len(rows) + new_row, len(cols) + new_col, grid_n)
+        if new_row:
+            rows.add(row_best)
+        if new_col:
+            cols.add(col_best)
+
+    p1 = _time_marginal(sigma, np.array(rows.subsets), grid_n, spec.m)
+    p2 = _time_marginal(tau, np.array(cols.subsets), grid_n, spec.n)
     return DuelSolution(
-        value=solution.value,
+        value=0.5 * (lower + upper),
         p1_density=MixedStrategy(p1),
         p2_density=MixedStrategy(p2),
         support_p1=_support_interval(grid, p1),
         support_p2=_support_interval(grid, p2),
         grid_n=grid_n,
+        residual=gap,
     )

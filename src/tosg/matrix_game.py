@@ -26,7 +26,7 @@ _LP_OPTIONS = {
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} is not numeric: {exc}") from None
     if arr.ndim != ndim:
         raise InputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")

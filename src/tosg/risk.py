@@ -6,25 +6,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
+from .matrix_game import _as_float_array
 
 
-def _check_prob(value: float, name: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} must be a number") from None
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise InputError(f"{name} must be a probability in [0, 1]")
-    return value
-
-
-def _check_nonneg(value: float, name: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} must be a number") from None
-    if not math.isfinite(value) or value < 0.0:
-        raise InputError(f"{name} must be finite and nonnegative")
+def _check_scalar(value, name: str, upper: float = math.inf) -> float:
+    """A finite number in [0, upper]; upper = 1 for probabilities."""
+    value = float(_as_float_array(value, name, 0))
+    if not 0.0 <= value <= upper:
+        raise InputError(f"{name} must lie in [0, {upper:g}]")
     return value
 
 
@@ -37,9 +26,9 @@ class EconomicRiskParams:
     cost: float
 
     def __post_init__(self):
-        object.__setattr__(self, "threat_rate", _check_nonneg(self.threat_rate, "threat_rate"))
-        object.__setattr__(self, "vulnerability", _check_prob(self.vulnerability, "vulnerability"))
-        object.__setattr__(self, "cost", _check_nonneg(self.cost, "cost"))
+        object.__setattr__(self, "threat_rate", _check_scalar(self.threat_rate, "threat_rate"))
+        object.__setattr__(self, "vulnerability", _check_scalar(self.vulnerability, "vulnerability", 1.0))
+        object.__setattr__(self, "cost", _check_scalar(self.cost, "cost"))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EconomicRiskParams":
@@ -63,10 +52,10 @@ class MitigatingRiskParams:
     pa: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "pa", _check_prob(self.pa, "pa"))
-        object.__setattr__(self, "pi", _check_prob(self.pi, "pi"))
-        object.__setattr__(self, "pn", _check_prob(self.pn, "pn"))
-        object.__setattr__(self, "ce", _check_nonneg(self.ce, "ce"))
+        object.__setattr__(self, "pa", _check_scalar(self.pa, "pa", 1.0))
+        object.__setattr__(self, "pi", _check_scalar(self.pi, "pi", 1.0))
+        object.__setattr__(self, "pn", _check_scalar(self.pn, "pn", 1.0))
+        object.__setattr__(self, "ce", _check_scalar(self.ce, "ce"))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MitigatingRiskParams":

@@ -133,8 +133,11 @@ class TestSolveDuelCommand:
         path = write(tmp_path, "duel.json", {"m": 2, "n": 6,
                                              "p": {"kind": "identity"},
                                              "q": {"kind": "identity"}})
-        code, _, err = run(capsys, "solve-duel", path, "--grid", "41")
+        # 2,000,000 points x 7 shot states exceed the 12,000,000 cap.
+        code, out, err = run(capsys, "solve-duel", path, "--grid", "2000000")
         assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "pairs" in err
 
 
@@ -271,6 +274,7 @@ class TestCliContract:
             ("risk", {"unrelated": 1}),
             ("solve-tosg", {"objective": {"kind": "quadratic", "q": [1], "c": [1]}}),
             ("run-protocol", {"risks": {}}),
+            ("risk", {"mitigating": {"pi": 0.5, "pn": 0.5, "ce": 10**400}}),  # overflows float
         ],
     )
     def test_malformed_documents_never_crash(self, tmp_path, capsys, command, payload):

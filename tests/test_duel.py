@@ -1,24 +1,44 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tosg.duel
 from tosg.duel import (
     AccuracyFunction,
     DuelSpec,
     TimeVector,
+    _best_response,
+    _hits,
+    _profiles,
+    _strategy_subsets,
     discretize_duel,
     duel_payoff,
     simulate_duel,
     solve_duel,
 )
-from tosg.errors import InputError, ResourceLimitError
+from tosg.errors import InputError, ResourceLimitError, SolverError
+from tosg.matrix_game import solve_exact
 
 IDENT = AccuracyFunction.identity()
 ONE_SHOT = DuelSpec(1, 1, IDENT, IDENT)
+# Sure hits from t = 0.5 on: the best-response recursion must not form 0 * inf.
+SURE_EARLY = AccuracyFunction.table([[0.0, 0.0], [0.5, 1.0], [1.0, 1.0]])
 
 times = st.floats(0.0, 1.0, allow_nan=False)
+accuracies = st.one_of(
+    st.just(IDENT),
+    st.just(SURE_EARLY),
+    st.floats(0.5, 3.0).map(AccuracyFunction.power),
+    st.floats(0.0, 1.0).map(lambda mid: AccuracyFunction.table([[0.0, 0.0], [0.5, mid], [1.0, 1.0]])),
+)
+small_duels = st.tuples(
+    st.builds(DuelSpec, st.integers(1, 3), st.integers(1, 3), accuracies, accuracies),
+    st.integers(2, 9),
+).map(lambda case: (case[0], max(case[1], case[0].m, case[0].n)))
 
 
 def symmetric_spec(shots: int) -> DuelSpec:
@@ -199,6 +219,47 @@ class TestDiscretizeDuel:
             discretize_duel(DuelSpec(3, 1, IDENT, IDENT), 2)
 
 
+class TestBestResponse:
+    @staticmethod
+    def check_against_brute_force(spec, grid_n, sigma, tau):
+        game = discretize_duel(spec, grid_n).entries
+        _, p_hit, q_hit = _hits(spec, grid_n)
+        rows = _strategy_subsets(grid_n, spec.m)
+        cols = _strategy_subsets(grid_n, spec.n)
+        row_alive, row_fire = _profiles(rows, p_hit, grid_n)
+        col_alive, col_fire = _profiles(cols, q_hit, grid_n)
+
+        gain, col_best = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
+        against_sigma = sigma @ game
+        assert -gain == pytest.approx(against_sigma.min(), abs=1e-12)
+        assert against_sigma[[tuple(c) for c in cols].index(col_best)] == pytest.approx(-gain, abs=1e-12)
+
+        upper, row_best = _best_response(tau @ col_alive, tau @ col_fire, p_hit, spec.m)
+        against_tau = game @ tau
+        assert upper == pytest.approx(against_tau.max(), abs=1e-12)
+        assert against_tau[[tuple(r) for r in rows].index(row_best)] == pytest.approx(upper, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_duels, st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, case, seed):
+        spec, grid_n = case
+        rng = np.random.default_rng(seed)
+        sigma = rng.dirichlet(np.full(math.comb(grid_n, spec.m), 0.3))
+        tau = rng.dirichlet(np.full(math.comb(grid_n, spec.n), 0.3))
+        self.check_against_brute_force(spec, grid_n, sigma, tau)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 2)])
+    def test_sure_hits_before_the_end(self, m, n):
+        spec = DuelSpec(m, n, SURE_EARLY, SURE_EARLY)
+        rows, cols = math.comb(9, m), math.comb(9, n)
+        # The latest subsets fire only where hits are sure.
+        for sigma, tau in [
+            (np.full(rows, 1.0 / rows), np.full(cols, 1.0 / cols)),
+            (np.eye(rows)[-1], np.eye(cols)[-1]),
+        ]:
+            self.check_against_brute_force(spec, 9, sigma, tau)
+
+
 class TestSolveDuel:
     def test_symmetric_one_shot_desk_scale(self):
         solution = solve_duel(ONE_SHOT, 201)
@@ -241,6 +302,57 @@ class TestSolveDuel:
         assert values[(2, 2)] >= values[(1, 2)] - 1e-9
         assert values[(1, 2)] <= values[(1, 1)] + 1e-9
         assert values[(2, 2)] <= values[(2, 1)] + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_duels)
+    def test_matches_full_lp(self, case):
+        spec, grid_n = case
+        solution = solve_duel(spec, grid_n)
+        full = solve_exact(discretize_duel(spec, grid_n))
+        assert abs(solution.value - full.value) <= 1e-9
+        assert solution.residual <= 1e-9
+
+    def test_two_versus_six_matches_full_lp_value(self):
+        # -0.47292884098749355 is solve_exact(discretize_duel(spec, 21)).value,
+        # the 210 x 54,264 game at the pair cap.
+        solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
+        assert abs(solution.value - -0.47292884098749355) <= 1e-9
+        assert solution.residual <= 1e-9
+        assert solution.support_p1 == pytest.approx((0.2, 1.0), abs=1e-12)
+        assert solution.support_p2 == pytest.approx((0.1, 1.0), abs=1e-12)
+
+    def test_two_versus_six_past_the_pair_cap(self):
+        spec = DuelSpec(2, 6, IDENT, IDENT)
+        with pytest.raises(ResourceLimitError):
+            discretize_duel(spec, 81)
+        solution = solve_duel(spec, 81)
+        assert solution.residual <= 1e-9
+        assert -1.0 <= solution.value <= 1.0
+
+    @pytest.mark.parametrize(
+        "spec,grid_n",
+        [
+            (DuelSpec(2, 6, IDENT, IDENT), 2_000_000),  # best-response states
+            (ONE_SHOT, 10**12),  # best-response states
+            (ONE_SHOT, 1_000_000),  # 10^6 x 10^6 restricted game
+            (DuelSpec(1, 6, IDENT, IDENT), 1_000_000),  # one-shot profiles
+        ],
+    )
+    def test_oversized_grid_refused_before_allocation(self, spec, grid_n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                solve_duel(spec, grid_n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_stalled_double_oracle_raises(self, monkeypatch):
+        # Best responses already in the restricted game cannot close a gap of 2.
+        monkeypatch.setattr(tosg.duel, "_best_response", lambda *args: (1.0, (7, 8)))
+        with pytest.raises(SolverError):
+            solve_duel(DuelSpec(2, 2, IDENT, IDENT), 9)
 
     def test_grid_refinement_differences_shrink(self):
         values = [solve_duel(ONE_SHOT, n).value for n in (11, 21, 41, 81)]

@@ -38,6 +38,7 @@ from tosg.timing import kernel_from_spec
             }
         ),
         lambda: ProtocolConfig.from_dict({"risks": "none"}),
+        lambda: MitigatingRiskParams(pi=0.5, pn=0.5, ce=10**400),  # overflows float
     ],
 )
 def test_garbage_documents_raise_input_error(build):
