@@ -16,7 +16,7 @@ from . import __version__
 from .duel import DuelSpec, simulate_duel, solve_duel
 from .errors import InputError, ResourceLimitError, SolverError, StageError, TosgError
 from .game_tree import GameTree, evaluate_tree, solve_evasion_game
-from .matrix_game import PayoffMatrix, solve_exact, solve_fictitious_play
+from .matrix_game import PayoffMatrix, _field, solve_exact, solve_fictitious_play
 from .decision import TosgProblem, solve_tosg
 from .pipeline import ProtocolConfig, run_protocol
 from .risk import EconomicRiskParams, MitigatingRiskParams, risk_economic, risk_mitigating
@@ -31,8 +31,10 @@ def _read_document(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read input file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise InputError(f"input file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"input file {path!r} nests too deeply to parse") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -77,11 +79,8 @@ def _cmd_solve_duel(args) -> None:
 def _cmd_simulate_duel(args) -> None:
     doc = _read_document(args.input)
     spec = DuelSpec.from_dict(doc)
-    if "x" not in doc or "y" not in doc:
-        raise InputError("simulate-duel input needs firing-time vectors 'x' and 'y'")
-    estimate, stderr = simulate_duel(
-        spec, doc["x"], doc["y"], trials=args.iterations, seed=args.seed
-    )
+    x, y = (_field(doc, key, "simulate-duel input") for key in ("x", "y"))
+    estimate, stderr = simulate_duel(spec, x, y, trials=args.iterations, seed=args.seed)
     _emit_json(
         {"estimate": estimate, "stderr": stderr, "trials": args.iterations, "seed": args.seed},
         args.output,
@@ -89,8 +88,12 @@ def _cmd_simulate_duel(args) -> None:
 
 
 def _cmd_eval_tree(args) -> None:
-    tree = GameTree.from_dict(_read_document(args.input))
-    _emit_json({"value": evaluate_tree(tree)}, args.output)
+    doc = _read_document(args.input)
+    try:
+        value = evaluate_tree(GameTree.from_dict(doc))
+    except RecursionError:  # a tree just shallow enough for json.load
+        raise InputError("game tree nests too deeply to evaluate") from None
+    _emit_json({"value": value}, args.output)
 
 
 def _cmd_solve_evasion(args) -> None:
@@ -100,9 +103,7 @@ def _cmd_solve_evasion(args) -> None:
 def _cmd_solve_timing(args) -> None:
     doc = _read_document(args.input)
     if args.grid is not None:
-        if not isinstance(doc, dict):
-            raise InputError("kernel document must be a JSON object")
-        doc = {**doc, "grid_n": args.grid}
+        doc = {"A": _field(doc, "A", "kernel document"), "grid_n": args.grid}
     kernel = kernel_from_spec(doc)
     solution = solve_timing(kernel)
     if args.format == "csv":
@@ -228,10 +229,6 @@ def main(argv=None) -> int:
     except TosgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TypeError, ValueError, KeyError) as exc:
-        # malformed documents that slipped past the parsers
-        print(f"error: invalid input: {exc!r}", file=sys.stderr)
-        return 2
     return 0
 
 

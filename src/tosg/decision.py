@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateProblemError, InputError
-from .matrix_game import _as_float_array
+from .errors import ConvergenceError, DegenerateProblemError, InputError, SolverError
+from .matrix_game import _as_float_array, _as_int, _field
 from .risk import MitigatingRiskParams, risk_mitigating
 
 
@@ -26,7 +26,7 @@ def finite_triple(values, name: str) -> tuple[float, float, float]:
     arr = _as_float_array(values, name, 1)
     if arr.shape != (3,):
         raise InputError(f"three finite {name} are required")
-    return tuple(float(v) for v in arr)
+    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,36 +139,24 @@ class AffineConstraint:
 
 
 def objective_from_dict(doc: dict):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise InputError("objective document needs a 'kind' field")
-    kind = doc["kind"]
+    kind = _field(doc, "kind", "objective document")
     if kind == "quadratic":
-        try:
-            return QuadraticObjective(quad=doc["q"], lin=doc["c"])
-        except KeyError as exc:
-            raise InputError(f"quadratic objective document missing {exc}") from None
+        what = "quadratic objective document"
+        return QuadraticObjective(quad=_field(doc, "q", what), lin=_field(doc, "c", what))
     if kind == "affine":
-        if "c" not in doc:
-            raise InputError("affine objective document needs 'c'")
-        return AffineObjective(lin=doc["c"], offset=doc.get("b", 0.0))
+        lin = _field(doc, "c", "affine objective document")
+        return AffineObjective(lin=lin, offset=doc.get("b", 0.0))
     raise InputError(f"unknown objective kind {kind!r}")
 
 
 def constraint_from_dict(doc: dict):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise InputError("constraint document needs a 'kind' field")
-    kind = doc["kind"]
+    kind = _field(doc, "kind", "constraint document")
     if kind == "coord":
-        if "index" not in doc:
-            raise InputError("coordinate constraint document needs 'index'")
-        try:
-            return CoordinateConstraint(index=int(doc["index"]))
-        except (TypeError, ValueError):
-            raise InputError("coordinate index must be an integer") from None
+        index = _field(doc, "index", "coordinate constraint document")
+        return CoordinateConstraint(index=_as_int(index, "coordinate index"))
     if kind == "affine":
-        if "a" not in doc:
-            raise InputError("affine constraint document needs 'a'")
-        return AffineConstraint(a=doc["a"], b=doc.get("b", 0.0))
+        a = _field(doc, "a", "affine constraint document")
+        return AffineConstraint(a=a, b=doc.get("b", 0.0))
     raise InputError(f"unknown constraint kind {kind!r}")
 
 
@@ -203,17 +191,17 @@ class TosgProblem:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TosgProblem":
-        try:
-            objective = objective_from_dict(doc["objective"])
-            constraints = tuple(constraint_from_dict(c) for c in doc["constraints"])
-            targets = tuple(doc["targets"])
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"problem document missing field: {exc}") from None
-        try:
-            dimension = int(doc.get("dimension", getattr(objective, "dimension", 0)))
-        except (TypeError, ValueError):
-            raise InputError("dimension must be an integer") from None
-        return cls(objective=objective, constraints=constraints, targets=targets, dimension=dimension)
+        what = "problem document"
+        objective = objective_from_dict(_field(doc, "objective", what))
+        constraints = tuple(constraint_from_dict(c) for c in _field(doc, "constraints", what, list))
+        targets = _field(doc, "targets", what)
+        dimension = doc.get("dimension", objective.dimension)
+        return cls(
+            objective=objective,
+            constraints=constraints,
+            targets=targets,
+            dimension=_as_int(dimension, "dimension"),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -252,12 +240,7 @@ def _check_vector(problem: TosgProblem, d) -> np.ndarray:
 def tosg_value(problem: TosgProblem, d, multipliers) -> float:
     """Objective plus multiplier-weighted constraint deviations from target."""
     d = _check_vector(problem, d)
-    try:
-        multipliers = tuple(float(m) for m in multipliers)
-    except (TypeError, ValueError):
-        raise InputError("multipliers must be numbers") from None
-    if len(multipliers) != 3:
-        raise InputError("exactly three multipliers are required")
+    multipliers = finite_triple(multipliers, "multipliers")
     total = problem.objective.value(d)
     for mult, constraint, target in zip(multipliers, problem.constraints, problem.targets):
         total += mult * (constraint.value(d) - target)
@@ -285,6 +268,8 @@ def constraint_targets_from_risk(
     return tuple(out)
 
 
+# Overflow in the iteration surfaces as a non-finite step or value, both reported.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_tosg(
     problem: TosgProblem,
     tol: float = 1e-10,
@@ -345,10 +330,13 @@ def solve_tosg(
         steps += 1
 
     mults = tuple(float(m) for m in multipliers)
+    value = tosg_value(problem, d, mults)
+    if not np.isfinite(value):
+        raise SolverError("the decision value overflows at the stationary point")
     return TosgSolution(
         d_star=d,
         multipliers=mults,
-        tosg_value=tosg_value(problem, d, mults),
+        tosg_value=value,
         stationarity_residual=stationarity,
         feasibility_residual=feasibility,
     )

@@ -15,13 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError, SolverError
-from .matrix_game import MixedStrategy, PayoffMatrix, _time_table, solve_exact
+from .matrix_game import (
+    MixedStrategy,
+    PayoffMatrix,
+    _as_float_array,
+    _as_int,
+    _field,
+    _time_table,
+    solve_exact,
+)
 
 # Admits the 21-point grid with 2-vs-6 attempts (11,395,440 pure pairs) in
 # discretize_duel; solve_duel holds its best-response tables, restricted
-# games and profile arrays to the same size.
+# games and profile arrays to the same size, and timing.build_kernel its
+# grid_n**2 kernel cells.
 MAX_STRATEGY_PAIRS = 12_000_000
 SUPPORT_TOL = 1e-6
+# The one tie rule implemented; see the module docstring.
+TIE_RULE = "simultaneous-independent"
 _SIM_CHUNK = 1 << 14
 
 
@@ -38,11 +49,10 @@ class AccuracyFunction:
             if self.k is not None or self.points is not None:
                 raise InputError("identity accuracy takes no parameters")
         elif self.kind == "power":
-            try:
-                exponent = float(self.k) if self.k is not None else None
-            except (TypeError, ValueError):
-                raise InputError("power exponent must be a number") from None
-            if exponent is None or not math.isfinite(exponent) or exponent <= 0:
+            if self.k is None:
+                raise InputError("power accuracy needs a finite exponent k > 0")
+            exponent = float(_as_float_array(self.k, "power exponent", 0))
+            if exponent <= 0:
                 raise InputError("power accuracy needs a finite exponent k > 0")
             object.__setattr__(self, "k", exponent)
             if self.points is not None:
@@ -91,19 +101,13 @@ class AccuracyFunction:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AccuracyFunction":
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise InputError("accuracy document needs a 'kind' field")
-        kind = doc["kind"]
+        kind = _field(doc, "kind", "accuracy document")
         if kind == "identity":
             return cls.identity()
         if kind == "power":
-            if "k" not in doc:
-                raise InputError("power accuracy document needs 'k'")
-            return cls.power(doc["k"])
+            return cls.power(_field(doc, "k", "power accuracy document"))
         if kind == "table":
-            if "points" not in doc:
-                raise InputError("table accuracy document needs 'points'")
-            return cls.table(doc["points"])
+            return cls.table(_field(doc, "points", "table accuracy document"))
         raise InputError(f"unknown accuracy kind {kind!r}")
 
     def to_dict(self) -> dict:
@@ -122,25 +126,22 @@ class DuelSpec:
     n: int
     p: AccuracyFunction
     q: AccuracyFunction
-    tie_rule: str = "simultaneous-independent"
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise InputError("both players need at least one attempt")
-        if self.tie_rule != "simultaneous-independent":
-            raise InputError(f"unsupported tie rule {self.tie_rule!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DuelSpec":
-        try:
-            m, n = int(doc["m"]), int(doc["n"])
-            p = AccuracyFunction.from_dict(doc["p"])
-            q = AccuracyFunction.from_dict(doc["q"])
-        except (TypeError, KeyError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"bad duel document: {exc}") from None
-        return cls(m=m, n=n, p=p, q=q, tie_rule=doc.get("tie_rule", "simultaneous-independent"))
+        what = "duel document"
+        m = _as_int(_field(doc, "m", what), "m")
+        n = _as_int(_field(doc, "n", what), "n")
+        p = AccuracyFunction.from_dict(_field(doc, "p", what))
+        q = AccuracyFunction.from_dict(_field(doc, "q", what))
+        tie_rule = doc.get("tie_rule", TIE_RULE)
+        if tie_rule != TIE_RULE:
+            raise InputError(f"unsupported tie rule {tie_rule!r}")
+        return cls(m=m, n=n, p=p, q=q)
 
     def to_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "p": self.p.to_dict(), "q": self.q.to_dict()}
@@ -153,14 +154,10 @@ class TimeVector:
     times: np.ndarray
 
     def __post_init__(self):
-        try:
-            times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"firing times are not numeric: {exc}") from None
-        if times.ndim != 1:
-            raise InputError("firing times must be a flat vector")
-        if not np.all(np.isfinite(times)):
-            raise InputError("firing times must be finite")
+        times = self.times
+        if np.isscalar(times):  # one shot's time may be given bare
+            times = [times]
+        times = _as_float_array(times, "firing times", 1)
         if np.any(times < 0.0) or np.any(times > 1.0):
             raise InputError("firing times must lie in [0, 1]")
         if np.any(np.diff(times) < 0.0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .matrix_game import MixedStrategy, PayoffMatrix, solve_exact
+from .matrix_game import MixedStrategy, PayoffMatrix, _as_float_array, _field, solve_exact
 
 _NODE_KINDS = ("leaf", "max", "min", "chance")
 _PROB_TOL = 1e-12
@@ -34,12 +34,9 @@ class GameTree:
             raise InputError(f"unknown node kind {self.kind!r}")
         object.__setattr__(self, "children", tuple(self.children))
         if self.kind == "leaf":
-            try:
-                payoff = float(self.payoff) if self.payoff is not None else None
-            except (TypeError, ValueError):
-                raise InputError("leaf payoff must be a number") from None
-            if payoff is None or not np.isfinite(payoff):
+            if self.payoff is None:
                 raise InputError("leaf node needs a finite payoff")
+            payoff = float(_as_float_array(self.payoff, "leaf payoff", 0))
             if self.children or self.probs is not None:
                 raise InputError("leaf node cannot have children")
             object.__setattr__(self, "payoff", payoff)
@@ -53,13 +50,10 @@ class GameTree:
         if self.kind == "chance":
             if self.probs is None:
                 raise InputError("chance node needs probabilities")
-            try:
-                probs = tuple(float(p) for p in self.probs)
-            except (TypeError, ValueError):
-                raise InputError("chance probabilities must be numbers") from None
+            probs = tuple(_as_float_array(self.probs, "chance probabilities", 1).tolist())
             if len(probs) != len(self.children):
                 raise InputError("one probability per child required")
-            if any(p < 0.0 or not np.isfinite(p) for p in probs):
+            if any(p < 0.0 for p in probs):
                 raise InputError("chance probabilities must be nonnegative")
             if abs(sum(probs) - 1.0) > _PROB_TOL:
                 raise InputError("chance probabilities must sum to 1")
@@ -85,16 +79,13 @@ class GameTree:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GameTree":
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise InputError("tree document needs a 'kind' field")
-        kind = doc["kind"]
+        kind = _field(doc, "kind", "tree document")
         if kind == "leaf":
-            if "payoff" not in doc:
-                raise InputError("leaf document needs a 'payoff' field")
-            return cls.leaf(doc["payoff"])
-        children = tuple(cls.from_dict(c) for c in doc.get("children", ()))
+            return cls.leaf(_field(doc, "payoff", "leaf document"))
+        what = f"{kind!r} node"
+        children = tuple(cls.from_dict(c) for c in _field(doc, "children", what, list))
         if kind == "chance":
-            return cls.chance(children, doc.get("probs") or ())
+            return cls.chance(children, _field(doc, "probs", what, list))
         return cls(kind, children=children)
 
     def to_dict(self) -> dict:

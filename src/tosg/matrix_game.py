@@ -30,9 +30,29 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
         raise InputError(f"{name} is not numeric: {exc}") from None
     if arr.ndim != ndim:
         raise InputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return arr
+
+
+def _as_int(value, name: str) -> int:
+    """An integral JSON number: an int, or a float with an integral value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{name} must be an integer")
+
+
+def _field(doc, key: str, what: str, kind: type | None = None):
+    """doc[key] of a JSON object; with ``kind`` (list or dict), also its type."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise InputError(f"{what} needs a '{key}' field")
+    value = doc[key]
+    if kind is not None and not isinstance(value, kind):
+        expected = "an array" if kind is list else "an object"
+        raise InputError(f"{what} field '{key}' must be {expected}")
+    return value
 
 
 def _time_table(points, name: str) -> tuple[tuple[float, float], ...]:
@@ -86,22 +106,15 @@ class PayoffMatrix:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PayoffMatrix":
-        try:
-            entries = doc["entries"]
-        except (TypeError, KeyError):
-            raise InputError("payoff matrix document needs an 'entries' field") from None
         game = cls(
-            entries=entries,
+            entries=_field(doc, "entries", "payoff matrix document"),
             row_labels=doc.get("row_labels"),
             col_labels=doc.get("col_labels"),
         )
         for key in ("rows", "cols"):
-            try:
-                declared = int(doc[key]) if key in doc else None
-            except (TypeError, ValueError):
-                raise InputError(f"declared {key} must be an integer") from None
-            if declared is not None and declared != getattr(game, key):
-                raise InputError(f"declared {key}={doc[key]} does not match entries")
+            declared = doc.get(key, getattr(game, key))
+            if _as_int(declared, f"declared {key}") != getattr(game, key):
+                raise InputError(f"declared {key}={declared} does not match entries")
         return game
 
     def to_dict(self) -> dict:
@@ -134,11 +147,8 @@ class MixedStrategy:
         weights = np.maximum(weights, 0.0)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        try:
-            atom = float(self.atom_at_zero)
-        except (TypeError, ValueError):
-            raise InputError("atom_at_zero must be a number") from None
-        if not np.isfinite(atom) or atom < -MASS_TOL:
+        atom = float(_as_float_array(self.atom_at_zero, "atom_at_zero", 0))
+        if atom < -MASS_TOL:
             raise InputError("atom_at_zero must be a nonnegative probability")
         object.__setattr__(self, "atom_at_zero", max(atom, 0.0))
         mass = weights.sum() + self.atom_at_zero

@@ -28,14 +28,13 @@ from .decision import (
     tosg_value,
 )
 from .errors import InputError, StageError
-from .matrix_game import _time_table
+from .matrix_game import _as_float_array, _as_int, _field, _time_table
 from .risk import MitigatingRiskParams, risk_mitigating
 from .timing import (
     TimingKernel,
     TimingSolution,
     build_kernel,
     kernel_fn_from_spec,
-    kernel_from_upper,
     solve_timing,
 )
 
@@ -65,7 +64,7 @@ def imbed_objective(kernel: TimingKernel, g, weight: float) -> TimingKernel:
     if not np.all(np.isfinite(scores)):
         raise InputError("score function must be finite on the grid")
     delta = weight * (scores[:, None] - scores[None, :])
-    return kernel_from_upper(kernel.grid, kernel.a_upper + delta)
+    return TimingKernel(grid=kernel.grid, a_upper=kernel.a_upper + delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +93,7 @@ class ProtocolConfig:
             raise InputError("imbedding weight must be finite and nonnegative")
         if self.grid_n < 3:
             raise InputError("grid_n must be at least 3")
-        score = self.score or {"kind": "decision_path"}
+        score = {"kind": "decision_path"} if self.score is None else self.score
         if not isinstance(score, dict) or score.get("kind") not in ("decision_path", "table"):
             raise InputError("score must be a decision_path or table document")
         if score["kind"] == "table":
@@ -105,38 +104,25 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProtocolConfig":
-        if not isinstance(doc, dict):
-            raise InputError("protocol config must be a JSON object")
-        try:
-            risks = {
-                key: MitigatingRiskParams.from_dict(doc["risks"][key])
-                for key in CONSTRAINT_KEYS
-            }
-            baselines = tuple(doc["baselines"])
-            objective = objective_from_dict(doc["objective"])
-            constraints = tuple(constraint_from_dict(c) for c in doc["constraints"])
-            kernel_a = doc["kernel"]
-            imbed_weight = float(doc["lambda"])
-            grid_n = int(doc["grid_n"])
-            seed = int(doc["seed"])
-        except (TypeError, KeyError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"bad protocol config: {exc}") from None
-        try:
-            dimension = int(doc.get("dimension", getattr(objective, "dimension", 0)))
-        except (TypeError, ValueError):
-            raise InputError("dimension must be an integer") from None
+        what = "protocol config"
+        risks = _field(doc, "risks", what, dict)
+        objective = objective_from_dict(_field(doc, "objective", what))
+        dimension = doc.get("dimension", objective.dimension)
         return cls(
-            risks=risks,
-            baselines=baselines,
+            risks={
+                key: MitigatingRiskParams.from_dict(_field(risks, key, "risks"))
+                for key in CONSTRAINT_KEYS
+            },
+            baselines=_field(doc, "baselines", what),
             objective=objective,
-            constraints=constraints,
-            dimension=dimension,
-            kernel_a=kernel_a,
-            imbed_weight=imbed_weight,
-            grid_n=grid_n,
-            seed=seed,
+            constraints=tuple(
+                constraint_from_dict(c) for c in _field(doc, "constraints", what, list)
+            ),
+            dimension=_as_int(dimension, "dimension"),
+            kernel_a=_field(doc, "kernel", what),
+            imbed_weight=float(_as_float_array(_field(doc, "lambda", what), "lambda", 0)),
+            grid_n=_as_int(_field(doc, "grid_n", what), "grid_n"),
+            seed=_as_int(_field(doc, "seed", what), "seed"),
             score=doc.get("score"),
         )
 

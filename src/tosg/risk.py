@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .matrix_game import _as_float_array
+from .matrix_game import _as_float_array, _field
 
 
 def _check_scalar(value, name: str, upper: float = math.inf) -> float:
@@ -32,10 +32,8 @@ class EconomicRiskParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EconomicRiskParams":
-        try:
-            return cls(doc["threat_rate"], doc["vulnerability"], doc["cost"])
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"economic risk document missing field: {exc}") from None
+        what = "economic risk document"
+        return cls(*(_field(doc, key, what) for key in ("threat_rate", "vulnerability", "cost")))
 
 
 @dataclass(frozen=True)
@@ -59,10 +57,9 @@ class MitigatingRiskParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MitigatingRiskParams":
-        try:
-            return cls(pi=doc["pi"], pn=doc["pn"], ce=doc["ce"], pa=doc.get("pa", 1.0))
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"mitigating risk document missing field: {exc}") from None
+        what = "mitigating risk document"
+        pi, pn, ce = (_field(doc, key, what) for key in ("pi", "pn", "ce"))
+        return cls(pi=pi, pn=pn, ce=ce, pa=doc.get("pa", 1.0))
 
     def to_dict(self) -> dict:
         return {"pa": self.pa, "pi": self.pi, "pn": self.pn, "ce": self.ce}

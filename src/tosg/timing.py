@@ -13,8 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
-from .matrix_game import MixedStrategy, PayoffMatrix, solve_exact
+from .duel import MAX_STRATEGY_PAIRS
+from .errors import InputError, ResourceLimitError
+from .matrix_game import MixedStrategy, PayoffMatrix, _as_float_array, _as_int, _field, solve_exact
 
 ATOM_TOL = 1e-6
 _STRICT_TOL = 1e-12
@@ -75,7 +76,7 @@ def _evaluate_upper(a, grid: np.ndarray) -> np.ndarray:
             values = np.asarray(a(x, y), dtype=float)
         if values.shape != (n, n):
             raise ValueError
-    except Exception:
+    except (TypeError, ValueError):  # a scalar-only generator, such as math.exp
         values = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
@@ -86,17 +87,21 @@ def _evaluate_upper(a, grid: np.ndarray) -> np.ndarray:
     return upper
 
 
-def kernel_from_upper(grid: np.ndarray, a_upper: np.ndarray) -> TimingKernel:
-    """Kernel over the grid from triangle values of A."""
-    return TimingKernel(grid=grid, a_upper=a_upper)
-
-
 def build_kernel(a, grid_n: int) -> TimingKernel:
-    """Realize A(x, y) on a uniform grid; skew-symmetry holds by construction."""
+    """Realize A(x, y) on a uniform grid; skew-symmetry holds by construction.
+
+    The grid_n x grid_n arrays are bounded by the duel's MAX_STRATEGY_PAIRS
+    cap, checked before any allocation.
+    """
     if grid_n < 3:
         raise InputError("grid_n must be at least 3")
+    if grid_n * grid_n > MAX_STRATEGY_PAIRS:
+        raise ResourceLimitError(
+            f"a {grid_n}-point grid needs {grid_n * grid_n} kernel cells, over the cap "
+            f"of {MAX_STRATEGY_PAIRS}; use a smaller grid"
+        )
     grid = np.linspace(0.0, 1.0, grid_n)
-    return kernel_from_upper(grid, _evaluate_upper(a, grid))
+    return TimingKernel(grid=grid, a_upper=_evaluate_upper(a, grid))
 
 
 def duel_kernel_fn(x, y):
@@ -112,30 +117,22 @@ def affine_kernel_fn(cx: float, cy: float, cxy: float, c0: float):
 
 
 def kernel_fn_from_spec(doc: dict):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise InputError("kernel generator document needs a 'kind' field")
-    kind = doc["kind"]
+    kind = _field(doc, "kind", "kernel generator document")
     if kind == "duel":
         return duel_kernel_fn
     if kind == "affine":
-        try:
-            return affine_kernel_fn(
-                float(doc["cx"]), float(doc["cy"]), float(doc["cxy"]), float(doc["c0"])
-            )
-        except (TypeError, KeyError, ValueError) as exc:
-            raise InputError(f"bad affine kernel document: {exc}") from None
+        cx, cy, cxy, c0 = (
+            float(_as_float_array(_field(doc, key, "affine kernel document"), key, 0))
+            for key in ("cx", "cy", "cxy", "c0")
+        )
+        return affine_kernel_fn(cx, cy, cxy, c0)
     raise InputError(f"unknown kernel kind {kind!r}")
 
 
 def kernel_from_spec(doc: dict) -> TimingKernel:
     """Build a kernel from `{"A": {...}, "grid_n": n}`."""
-    if not isinstance(doc, dict) or "A" not in doc or "grid_n" not in doc:
-        raise InputError("kernel document needs 'A' and 'grid_n' fields")
-    try:
-        grid_n = int(doc["grid_n"])
-    except (TypeError, ValueError):
-        raise InputError("grid_n must be an integer") from None
-    return build_kernel(kernel_fn_from_spec(doc["A"]), grid_n)
+    a = kernel_fn_from_spec(_field(doc, "A", "kernel document"))
+    return build_kernel(a, _as_int(_field(doc, "grid_n", "kernel document"), "grid_n"))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,26 @@
+import copy
+import functools
 import json
+import math
+import operator
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tosg.cli import main
 
 DATA = Path(__file__).parent / "data"
+GOLDEN_CONFIG = json.loads((DATA / "golden_protocol_config.json").read_text())
+DUEL_1V1 = {"m": 1, "n": 1, "p": {"kind": "identity"}, "q": {"kind": "identity"}}
+MATRIX = {"rows": 2, "cols": 2, "entries": [[3, 1], [0, 2]]}
+TOSG = {
+    "objective": {"kind": "quadratic", "q": [-1, -1, -1], "c": [0, 0, 0]},
+    "constraints": [{"kind": "coord", "index": i} for i in range(3)],
+    "targets": [1.0, 2.0, 3.0],
+}
 
 
 def write(tmp_path, name, payload) -> str:
@@ -17,10 +32,19 @@ def write(tmp_path, name, payload) -> str:
     return str(path)
 
 
+def big(doc: dict, key: str) -> str:
+    """doc as JSON text with the top-level ``key`` set to 1e400, which parses as inf."""
+    return json.dumps({**doc, key: None}).replace(f'"{key}": null', f'"{key}": 1e400')
+
+
 def run(capsys, *argv):
-    code = main(list(argv))
+    # pytest intercepts warnings; outside it each one prints to stderr, so add them there.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    err = captured.err + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, captured.out, err
 
 
 class TestSolveEvasion:
@@ -207,6 +231,17 @@ class TestRiskAndTosg:
         assert code == 1
         assert "singular" in err
 
+    def test_overflowing_tosg_is_exit_one_with_one_line(self, tmp_path, capsys):
+        payload = {
+            **TOSG,
+            "objective": {"kind": "quadratic", "q": [1e308, 1, 1], "c": [1e308, 1, 1]},
+            "targets": [1e308, 1, 1],
+        }
+        code, out, err = run(capsys, "solve-tosg", write(tmp_path, "tosg.json", payload))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestRunProtocol:
     def test_json_report(self, capsys):
@@ -254,6 +289,7 @@ class TestCliContract:
             '{"entries": "nope"}',
             '{"entries": [[NaN]]}',
             '{"rows": 1}',
+            pytest.param("[" * 100_000, id="deep-nesting"),  # RecursionError in json.load
         ],
     )
     def test_malformed_matrix_inputs(self, tmp_path, capsys, payload):
@@ -261,6 +297,17 @@ class TestCliContract:
         code, out, err = run(capsys, "solve-matrix", path)
         assert code == 2
         assert err != ""
+
+    def test_deep_trees_never_crash(self, tmp_path, capsys):
+        # json.load and GameTree.from_dict both recurse per level, so near the
+        # recursion limit either may give out first.
+        half = sys.getrecursionlimit() // 2
+        for depth in range(half - 60, half + 5):
+            leaf = '{"kind": "leaf", "payoff": 1}'
+            tree = '{"kind": "max", "children": [' * depth + leaf + "]}" * depth
+            code, _, err = run(capsys, "eval-tree", write(tmp_path, "tree.json", tree))
+            assert code in (0, 2)
+            assert code == 0 or err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command,payload",
@@ -275,6 +322,30 @@ class TestCliContract:
             ("solve-tosg", {"objective": {"kind": "quadratic", "q": [1], "c": [1]}}),
             ("run-protocol", {"risks": {}}),
             ("risk", {"mitigating": {"pi": 0.5, "pn": 0.5, "ce": 10**400}}),  # overflows float
+            # 1e400 parses as inf
+            pytest.param("solve-duel", big(DUEL_1V1, "m"), id="solve-duel-m-1e400"),
+            pytest.param(
+                "solve-timing", big({"A": {"kind": "duel"}}, "grid_n"), id="solve-timing-grid_n-1e400"
+            ),
+            pytest.param("solve-matrix", big(MATRIX, "rows"), id="solve-matrix-rows-1e400"),
+            pytest.param("solve-tosg", big(TOSG, "dimension"), id="solve-tosg-dimension-1e400"),
+            pytest.param(
+                "solve-tosg",
+                json.dumps(TOSG).replace('"index": 0', '"index": 1e400'),
+                id="solve-tosg-index-1e400",
+            ),
+            pytest.param("run-protocol", big(GOLDEN_CONFIG, "grid_n"), id="run-protocol-grid_n-1e400"),
+            pytest.param("run-protocol", big(GOLDEN_CONFIG, "seed"), id="run-protocol-seed-1e400"),
+            # fractions, booleans and strings in integer fields
+            ("solve-duel", {**DUEL_1V1, "m": 2.7}),
+            ("solve-duel", {**DUEL_1V1, "m": True}),
+            ("run-protocol", {**GOLDEN_CONFIG, "grid_n": 21.5}),
+            ("solve-matrix", {"rows": 1.5, "entries": [[3, 1]]}),
+            ("solve-matrix", {"rows": True, "entries": [[3, 1]]}),
+            ("solve-matrix", {**MATRIX, "cols": "2"}),
+            # containers of the wrong type
+            ("eval-tree", {"kind": "max", "children": 5}),
+            ("eval-tree", {"kind": "chance", "children": [{"kind": "leaf", "payoff": 1}], "probs": 5}),
         ],
     )
     def test_malformed_documents_never_crash(self, tmp_path, capsys, command, payload):
@@ -282,3 +353,99 @@ class TestCliContract:
         code, out, err = run(capsys, command, path)
         assert code == 2
         assert err != ""
+
+
+# Small valid documents for every subcommand that reads one, with its flags.
+SEED_DOCUMENTS = {
+    "solve-matrix": ((), {**MATRIX, "row_labels": [0.0, 1.0], "col_labels": [0.0, 1.0]}),
+    "solve-duel": (
+        ("--grid", "5"),
+        {
+            "m": 2,
+            "n": 1,
+            "p": {"kind": "power", "k": 2},
+            "q": {"kind": "table", "points": [[0, 0], [0.5, 0.3], [1, 1]]},
+            "tie_rule": "simultaneous-independent",
+        },
+    ),
+    "simulate-duel": (
+        ("--seed", "1", "--iterations", "100"),
+        {**DUEL_1V1, "m": 2, "p": {"kind": "power", "k": 2}, "x": [0.2, 0.7], "y": [0.5]},
+    ),
+    "eval-tree": (
+        (),
+        {
+            "kind": "min",
+            "children": [
+                {"kind": "max", "children": [{"kind": "leaf", "payoff": 1.0}]},
+                {"kind": "chance", "probs": [0.5, 0.5],
+                 "children": [{"kind": "leaf", "payoff": 4.0}, {"kind": "leaf", "payoff": 0.0}]},
+            ],
+        },
+    ),
+    "solve-timing": (
+        (),
+        {"A": {"kind": "affine", "cx": 1.0, "cy": -1.0, "cxy": 1.0, "c0": 0.0}, "grid_n": 11},
+    ),
+    "risk": (
+        (),
+        {
+            "economic": {"threat_rate": 2.0, "vulnerability": 0.5, "cost": 10.0},
+            "mitigating": {"pa": 1.0, "pi": 0.8, "pn": 0.9, "ce": 100.0},
+        },
+    ),
+    "solve-tosg": (
+        (),
+        {
+            **TOSG,
+            "constraints": [
+                {"kind": "coord", "index": 0},
+                {"kind": "coord", "index": 1},
+                {"kind": "affine", "a": [0, 0, 1], "b": 0.0},
+            ],
+            "dimension": 3,
+        },
+    ),
+    "run-protocol": ((), {**GOLDEN_CONFIG, "grid_n": 11}),
+}
+DELETE = object()
+FIELD_VALUES = [None, True, 0, -1, 2.5, 10**400, math.inf, math.nan, 1e308, "x", [], {}, [1, 2]]
+
+
+def field_paths(doc, prefix=()):
+    """Key paths of every field at every depth of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+class TestFuzzedDocuments:
+    @pytest.mark.parametrize("command", sorted(SEED_DOCUMENTS))
+    @settings(
+        max_examples=1000,  # more than the one-field changes of any seed document
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_one_changed_field_ends_in_a_defined_exit(self, tmp_path, capsys, command, data):
+        flags, seed_doc = SEED_DOCUMENTS[command]
+        doc = copy.deepcopy(seed_doc)
+        path = data.draw(st.sampled_from(list(field_paths(doc))), label="path")
+        value = data.draw(st.sampled_from([DELETE, *FIELD_VALUES]), label="value")
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        code, _, err = run(capsys, command, write(tmp_path, "doc.json", doc), *flags)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err

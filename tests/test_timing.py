@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_monotone_kernel
-from tosg.duel import AccuracyFunction, DuelSpec, discretize_duel
-from tosg.errors import InputError
+from tosg.duel import MAX_STRATEGY_PAIRS, AccuracyFunction, DuelSpec, discretize_duel
+from tosg.errors import InputError, ResourceLimitError
 from tosg.matrix_game import MixedStrategy, PayoffMatrix, solve_fictitious_play
 from tosg.timing import (
     build_kernel,
@@ -46,6 +47,28 @@ class TestBuildKernel:
 
         kernel = build_kernel(gen, 7)
         assert kernel.matrix[0, 6] == pytest.approx(1.0 - math.e)
+
+    def test_only_array_rejections_fall_back_to_the_loop(self):
+        calls = []
+
+        def gen(x, y):
+            calls.append((x, y))
+            raise MemoryError
+
+        with pytest.raises(MemoryError):
+            build_kernel(gen, 5)
+        assert len(calls) == 1
+
+    def test_oversized_grid_refused_before_allocation(self):
+        grid_n = math.isqrt(MAX_STRATEGY_PAIRS) + 1  # grid_n**2 cells just over the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                build_kernel(duel_kernel_fn, grid_n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_nonfinite_generator(self):
         with pytest.raises(InputError):
