@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .duel import DuelSpec, simulate_duel, solve_duel
-from .errors import InputError, ResourceLimitError, SolverError, StageError, TosgError
+from .errors import InputError, SolverError, StageError, TosgError
 from .game_tree import GameTree, evaluate_tree, solve_evasion_game
 from .matrix_game import PayoffMatrix, _field, solve_exact, solve_fictitious_play
 from .decision import TosgProblem, solve_tosg
@@ -46,7 +46,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(doc: dict, output: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", output)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # Infinity and NaN are not JSON
+        raise SolverError("the result is not finite and cannot be written as JSON") from None
+    _emit(text + "\n", output)
 
 
 def _density_csv(grid: np.ndarray, weights: np.ndarray) -> str:
@@ -107,7 +111,7 @@ def _cmd_solve_timing(args) -> None:
     kernel = kernel_from_spec(doc)
     solution = solve_timing(kernel)
     if args.format == "csv":
-        _emit(_density_csv(kernel.grid, solution.strategy.on_grid()), args.output)
+        _emit(_density_csv(kernel.grid, solution.strategy.weights), args.output)
     else:
         _emit_json(solution.to_dict(), args.output)
 
@@ -134,7 +138,7 @@ def _cmd_run_protocol(args) -> None:
     report = run_protocol(config)
     if args.format == "csv":
         grid = np.linspace(0.0, 1.0, config.grid_n)
-        _emit(_density_csv(grid, report.timing.strategy.on_grid()), args.output)
+        _emit(_density_csv(grid, report.timing.strategy.weights), args.output)
     else:
         _emit(report.to_json(), args.output)
 
@@ -214,21 +218,10 @@ def main(argv=None) -> int:
 
     try:
         args.handler(args)
-    except StageError as exc:
+    except (TosgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.__cause__, InputError) else 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceLimitError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TosgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cause = exc.__cause__ if isinstance(exc, StageError) else exc
+        return 2 if isinstance(cause, (InputError, OSError)) else 1
     return 0
 
 

@@ -203,14 +203,6 @@ class TosgProblem:
             dimension=_as_int(dimension, "dimension"),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective.to_dict(),
-            "constraints": [c.to_dict() for c in self.constraints],
-            "targets": list(self.targets),
-            "dimension": self.dimension,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class TosgSolution:

@@ -36,6 +36,18 @@ TIE_RULE = "simultaneous-independent"
 _SIM_CHUNK = 1 << 14
 
 
+def guard_cells(cells: int, what: str) -> None:
+    """Refuse ``what`` when its arrays need more than MAX_STRATEGY_PAIRS cells.
+
+    Callers count the cells before allocating anything of that size.
+    """
+    if cells > MAX_STRATEGY_PAIRS:
+        raise ResourceLimitError(
+            f"{what} needs {cells} cells, over the cap of {MAX_STRATEGY_PAIRS} "
+            "strategy pairs; use a smaller grid"
+        )
+
+
 @dataclass(frozen=True)
 class AccuracyFunction:
     """Monotone hit probability on [0, 1] with value 0 at 0 and 1 at 1."""
@@ -110,13 +122,6 @@ class AccuracyFunction:
             return cls.table(_field(doc, "points", "table accuracy document"))
         raise InputError(f"unknown accuracy kind {kind!r}")
 
-    def to_dict(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        if self.kind == "power":
-            return {"kind": "power", "k": self.k}
-        return {"kind": "table", "points": [list(p) for p in self.points]}
-
 
 @dataclass(frozen=True)
 class DuelSpec:
@@ -142,9 +147,6 @@ class DuelSpec:
         if tie_rule != TIE_RULE:
             raise InputError(f"unsupported tie rule {tie_rule!r}")
         return cls(m=m, n=n, p=p, q=q)
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "p": self.p.to_dict(), "q": self.q.to_dict()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,16 +293,6 @@ def _check_grid(spec: DuelSpec, grid_n: int) -> None:
         raise InputError(f"grid of {grid_n} points cannot host {max(spec.m, spec.n)} distinct shots")
 
 
-def _guard_pairs(spec: DuelSpec, grid_n: int, max_pairs: int) -> None:
-    _check_grid(spec, grid_n)
-    pairs = math.comb(grid_n, spec.m) * math.comb(grid_n, spec.n)
-    if pairs > max_pairs:
-        raise ResourceLimitError(
-            f"{pairs} pure-strategy pairs exceed the cap of {max_pairs}; "
-            "use a smaller grid or Monte Carlo evaluation"
-        )
-
-
 def _hits(spec: DuelSpec, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grid = np.linspace(0.0, 1.0, grid_n)
     return grid, np.asarray(spec.p(grid), dtype=float), np.asarray(spec.q(grid), dtype=float)
@@ -321,9 +313,7 @@ def _profiles(subsets: np.ndarray, hit: np.ndarray, grid_n: int) -> tuple[np.nda
     return alive, alive * (hit[None, :] * incidence)
 
 
-def discretize_duel(
-    spec: DuelSpec, grid_n: int, max_pairs: int = MAX_STRATEGY_PAIRS
-) -> PayoffMatrix:
+def discretize_duel(spec: DuelSpec, grid_n: int) -> PayoffMatrix:
     """Payoff matrix over all sorted shot-time subsets of a uniform grid.
 
     Pure strategies are the sorted m- and n-element subsets of the grid
@@ -334,7 +324,11 @@ def discretize_duel(
 
     which factors into two small matrix products over the grid axis.
     """
-    _guard_pairs(spec, grid_n, max_pairs)
+    _check_grid(spec, grid_n)
+    guard_cells(
+        math.comb(grid_n, spec.m) * math.comb(grid_n, spec.n),
+        f"the full {spec.m}-vs-{spec.n} duel matrix on {grid_n} grid points",
+    )
     grid, p_hit, q_hit = _hits(spec, grid_n)
     row_alive, row_fire = _profiles(_strategy_subsets(grid_n, spec.m), p_hit, grid_n)
     col_alive, col_fire = _profiles(_strategy_subsets(grid_n, spec.n), q_hit, grid_n)
@@ -381,31 +375,6 @@ def _best_response(
     return float(value[shots]), tuple(subset)
 
 
-class _Pool:
-    """One player's sorted shot subsets in the restricted game, with their profiles."""
-
-    def __init__(self, subsets: list[tuple[int, ...]], hit: np.ndarray):
-        self.subsets = list(subsets)
-        self.hit = hit
-        self.alive, self.fire = _profiles(np.array(self.subsets), hit, hit.shape[0])
-
-    def __contains__(self, subset: tuple[int, ...]) -> bool:
-        return subset in self.subsets
-
-    def __len__(self) -> int:
-        return len(self.subsets)
-
-    def add(self, subset: tuple[int, ...]) -> None:
-        alive, fire = _profiles(np.array([subset]), self.hit, self.hit.shape[0])
-        self.subsets.append(subset)
-        self.alive = np.vstack([self.alive, alive])
-        self.fire = np.vstack([self.fire, fire])
-
-    def mixed(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Expected alive and fire profiles of a mixture over the subsets."""
-        return weights @ self.alive, weights @ self.fire
-
-
 def _seed_subsets(grid_n: int, shots: int) -> list[tuple[int, ...]]:
     # A one-shot player's subsets are the grid points; a multi-shot player
     # starts from its latest firing times.
@@ -415,12 +384,11 @@ def _seed_subsets(grid_n: int, shots: int) -> list[tuple[int, ...]]:
 
 
 def _guard_restricted(rows: int, cols: int, grid_n: int) -> None:
-    cells = max(rows * cols, rows * grid_n, cols * grid_n)
-    if cells > MAX_STRATEGY_PAIRS:
-        raise ResourceLimitError(
-            f"restricted game of {rows} x {cols} subsets on {grid_n} grid points needs "
-            f"{cells} cells, over the cap of {MAX_STRATEGY_PAIRS} strategy pairs; use a smaller grid"
-        )
+    # The restricted game and both players' profile arrays.
+    guard_cells(
+        max(rows * cols, rows * grid_n, cols * grid_n),
+        f"restricted game of {rows} x {cols} subsets on {grid_n} grid points",
+    )
 
 
 def _time_marginal(weights: np.ndarray, subsets: np.ndarray, grid_n: int, shots: int) -> np.ndarray:
@@ -454,25 +422,23 @@ def solve_duel(spec: DuelSpec, grid_n: int, tol: float = 1e-9) -> DuelSolution:
     checked before allocation; 2-vs-6 attempts solve well past grid 21.
     """
     _check_grid(spec, grid_n)
-    states = grid_n * (max(spec.m, spec.n) + 1)
-    if states > MAX_STRATEGY_PAIRS:
-        raise ResourceLimitError(
-            f"grid of {grid_n} points with up to {max(spec.m, spec.n)} shots needs {states} "
-            f"best-response states, over the cap of {MAX_STRATEGY_PAIRS} strategy pairs; "
-            "use a smaller grid"
-        )
+    shots = max(spec.m, spec.n)
+    guard_cells(
+        grid_n * (shots + 1), f"the best-response table for {shots} shots on {grid_n} grid points"
+    )
     # The seed sizes of _seed_subsets, checked before the seeds are built.
-    _guard_restricted(*(grid_n if shots == 1 else 1 for shots in (spec.m, spec.n)), grid_n)
+    _guard_restricted(*(grid_n if k == 1 else 1 for k in (spec.m, spec.n)), grid_n)
     grid, p_hit, q_hit = _hits(spec, grid_n)
-    rows = _Pool(_seed_subsets(grid_n, spec.m), p_hit)
-    cols = _Pool(_seed_subsets(grid_n, spec.n), q_hit)
+    rows, cols = _seed_subsets(grid_n, spec.m), _seed_subsets(grid_n, spec.n)
     while True:
-        game = PayoffMatrix(rows.fire @ cols.alive.T - rows.alive @ cols.fire.T)
+        row_alive, row_fire = _profiles(np.array(rows), p_hit, grid_n)
+        col_alive, col_fire = _profiles(np.array(cols), q_hit, grid_n)
+        game = PayoffMatrix(row_fire @ col_alive.T - row_alive @ col_fire.T)
         restricted = solve_exact(game, tol=tol)
         sigma = restricted.row_strategy.weights
         tau = restricted.col_strategy.weights
-        col_gain, col_best = _best_response(*rows.mixed(sigma), q_hit, spec.n)
-        upper, row_best = _best_response(*cols.mixed(tau), p_hit, spec.m)
+        col_gain, col_best = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
+        upper, row_best = _best_response(tau @ col_alive, tau @ col_fire, p_hit, spec.m)
         lower = -col_gain
         gap = max(upper - lower, 0.0)
         if gap <= tol:
@@ -482,12 +448,12 @@ def solve_duel(spec: DuelSpec, grid_n: int, tol: float = 1e-9) -> DuelSolution:
             raise SolverError(f"double oracle stalled at verified gap {gap:.3e} above tol {tol:.3e}")
         _guard_restricted(len(rows) + new_row, len(cols) + new_col, grid_n)
         if new_row:
-            rows.add(row_best)
+            rows.append(row_best)
         if new_col:
-            cols.add(col_best)
+            cols.append(col_best)
 
-    p1 = _time_marginal(sigma, np.array(rows.subsets), grid_n, spec.m)
-    p2 = _time_marginal(tau, np.array(cols.subsets), grid_n, spec.n)
+    p1 = _time_marginal(sigma, np.array(rows), grid_n, spec.m)
+    p2 = _time_marginal(tau, np.array(cols), grid_n, spec.n)
     return DuelSolution(
         value=0.5 * (lower + upper),
         p1_density=MixedStrategy(p1),

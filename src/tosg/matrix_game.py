@@ -16,7 +16,6 @@ from scipy.optimize import linprog
 from .errors import InputError, SolverError
 
 MASS_TOL = 1e-12
-SUPPORT_TOL = 1e-6
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -128,15 +127,9 @@ class PayoffMatrix:
 
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
-    """Probability weights over a pure-strategy index set.
-
-    ``atom_at_zero`` carries an explicit probability jump at grid point 0;
-    it is folded onto index 0 whenever the strategy is used against a game
-    (grid point 0 is always the first index on the grids built here).
-    """
+    """Probability weights over a pure-strategy index set."""
 
     weights: np.ndarray
-    atom_at_zero: float = 0.0
 
     def __post_init__(self):
         weights = _as_float_array(self.weights, "weights", 1)
@@ -147,27 +140,12 @@ class MixedStrategy:
         weights = np.maximum(weights, 0.0)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-        atom = float(_as_float_array(self.atom_at_zero, "atom_at_zero", 0))
-        if atom < -MASS_TOL:
-            raise InputError("atom_at_zero must be a nonnegative probability")
-        object.__setattr__(self, "atom_at_zero", max(atom, 0.0))
-        mass = weights.sum() + self.atom_at_zero
+        mass = weights.sum()
         if abs(mass - 1.0) > MASS_TOL:
             raise InputError(f"total probability mass is {mass!r}, expected 1")
 
     def __len__(self) -> int:
         return self.weights.shape[0]
-
-    def on_grid(self) -> np.ndarray:
-        """Weights with the zero atom folded onto the first index."""
-        if self.atom_at_zero == 0.0:
-            return self.weights
-        folded = self.weights.copy()
-        folded[0] += self.atom_at_zero
-        return folded
-
-    def support_indices(self, tol: float = SUPPORT_TOL) -> np.ndarray:
-        return np.nonzero(self.on_grid() > tol)[0]
 
     @classmethod
     def pure(cls, index: int, size: int) -> "MixedStrategy":
@@ -180,7 +158,8 @@ class MixedStrategy:
         return cls(np.full(size, 1.0 / size))
 
     def to_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "atom_at_zero": self.atom_at_zero}
+        # Output schema 1 keeps the key; no solver places a separate atom at 0.
+        return {"weights": self.weights.tolist(), "atom_at_zero": 0.0}
 
 
 @dataclass(frozen=True)
@@ -225,7 +204,7 @@ def _check_dims(game: PayoffMatrix, sigma: MixedStrategy, tau: MixedStrategy) ->
 def expected_payoff(game: PayoffMatrix, sigma: MixedStrategy, tau: MixedStrategy) -> float:
     """Bilinear payoff sum(sigma_i * tau_j * entries[i, j])."""
     _check_dims(game, sigma, tau)
-    return float(sigma.on_grid() @ game.entries @ tau.on_grid())
+    return float(sigma.weights @ game.entries @ tau.weights)
 
 
 def saddle_bounds(game: PayoffMatrix) -> tuple[float, float]:

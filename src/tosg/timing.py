@@ -13,8 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .duel import MAX_STRATEGY_PAIRS
-from .errors import InputError, ResourceLimitError
+from .duel import guard_cells
+from .errors import InputError
 from .matrix_game import MixedStrategy, PayoffMatrix, _as_float_array, _as_int, _field, solve_exact
 
 ATOM_TOL = 1e-6
@@ -90,16 +90,12 @@ def _evaluate_upper(a, grid: np.ndarray) -> np.ndarray:
 def build_kernel(a, grid_n: int) -> TimingKernel:
     """Realize A(x, y) on a uniform grid; skew-symmetry holds by construction.
 
-    The grid_n x grid_n arrays are bounded by the duel's MAX_STRATEGY_PAIRS
-    cap, checked before any allocation.
+    The grid_n x grid_n arrays are bounded by the duel's cap (guard_cells),
+    checked before any allocation.
     """
     if grid_n < 3:
         raise InputError("grid_n must be at least 3")
-    if grid_n * grid_n > MAX_STRATEGY_PAIRS:
-        raise ResourceLimitError(
-            f"a {grid_n}-point grid needs {grid_n * grid_n} kernel cells, over the cap "
-            f"of {MAX_STRATEGY_PAIRS}; use a smaller grid"
-        )
+    guard_cells(grid_n * grid_n, f"a {grid_n}-point timing kernel")
     grid = np.linspace(0.0, 1.0, grid_n)
     return TimingKernel(grid=grid, a_upper=_evaluate_upper(a, grid))
 
@@ -150,16 +146,6 @@ class ValidationReport:
     continuity_proxy: bool
     no_linear_intervals: None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "strictly_increasing_in_x": self.strictly_increasing_in_x,
-            "strictly_decreasing_in_y": self.strictly_decreasing_in_y,
-            "nonneg_x_slope": self.nonneg_x_slope,
-            "nonpos_y_slope": self.nonpos_y_slope,
-            "continuity_proxy": self.continuity_proxy,
-            "no_linear_intervals": self.no_linear_intervals,
-        }
-
 
 def validate_kernel(kernel: TimingKernel) -> ValidationReport:
     """Check monotonicity and slope signs of A on the triangle x <= y."""
@@ -199,9 +185,6 @@ class BoundaryClass:
     @property
     def witness(self) -> float:
         return self.a11 if self.label == "pure_at_1" else self.a01
-
-    def to_dict(self) -> dict:
-        return {"label": self.label, "a11": self.a11, "a01": self.a01, "witness": self.witness}
 
 
 def classify_boundary(kernel: TimingKernel) -> BoundaryClass:
@@ -251,7 +234,7 @@ def verify_optimality(kernel: TimingKernel, strategy: MixedStrategy) -> tuple[fl
         raise InputError(
             f"strategy has {len(strategy)} weights for a {kernel.grid_n}-point grid"
         )
-    weights = strategy.on_grid()
+    weights = strategy.weights
     response = weights @ kernel.matrix
     residual_eq11 = max(0.0, -float(response.min()))
     residual_eq12 = abs(float(response @ weights))
@@ -286,7 +269,7 @@ def spectrum(
         raise InputError("atom_tol must be positive")
     if len(strategy) != kernel.grid_n:
         raise InputError("strategy does not match the kernel grid")
-    weights = strategy.on_grid()
+    weights = strategy.weights
     has_zero_atom = bool(weights[0] > atom_tol)
     idx = np.nonzero(weights[1:] > atom_tol)[0] + 1
     return kernel.grid[idx], has_zero_atom

@@ -94,13 +94,13 @@ def test_criterion_05_boundary_classification():
             kernel = random_monotone_kernel(rng, 51, boundary="pure_at_1")
             assert kernel.a_at_1_1() <= 0.0
             assert classify_boundary(kernel).label == "pure_at_1"
-            weights = solve_timing(kernel).strategy.on_grid()
+            weights = solve_timing(kernel).strategy.weights
             assert weights[-1] >= 1.0 - 1e-6
         for _ in range(5):
             kernel = random_monotone_kernel(rng, 51, boundary="pure_at_0")
             assert kernel.a_at_0_1() >= 0.0
             assert classify_boundary(kernel).label == "pure_at_0"
-            weights = solve_timing(kernel).strategy.on_grid()
+            weights = solve_timing(kernel).strategy.weights
             assert weights[0] >= 1.0 - 1e-6
 
 

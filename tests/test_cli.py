@@ -88,6 +88,14 @@ class TestSolveMatrix:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["value"] == pytest.approx(1.0)
 
+    def test_output_into_missing_directory_is_exit_two(self, tmp_path, capsys):
+        path = write(tmp_path, "game.json", {"entries": [[1.0]]})
+        out_path = tmp_path / "missing" / "result.json"
+        code, out, err = run(capsys, "solve-matrix", path, "--output", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSimulateDuel:
     def test_deterministic_across_runs(self, tmp_path, capsys):
@@ -140,6 +148,9 @@ class TestSolveDuelCommand:
         doc = json.loads(out)
         assert abs(doc["value"]) <= 1e-9
         assert doc["support_p1"][0] == pytest.approx(1 / 3, abs=0.05)
+        # Output schema 1 keeps the key; no solver places a separate atom at 0.
+        assert doc["p1_density"]["atom_at_zero"] == 0.0
+        assert doc["p2_density"]["atom_at_zero"] == 0.0
 
     def test_csv_schema(self, tmp_path, capsys):
         path = write(tmp_path, "duel.json", {"m": 1, "n": 1,
@@ -208,6 +219,14 @@ class TestRiskAndTosg:
         assert doc["economic"] == pytest.approx(10.0)
         assert doc["mitigating"] == pytest.approx(28.0)
 
+    def test_overflowing_risk_is_exit_one_with_one_line(self, tmp_path, capsys):
+        # The product overflows to inf, which JSON cannot carry.
+        payload = {"economic": {"threat_rate": 1e308, "vulnerability": 0.5, "cost": 10}}
+        code, out, err = run(capsys, "risk", write(tmp_path, "risk.json", payload))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_solve_tosg(self, tmp_path, capsys):
         payload = {
             "objective": {"kind": "quadratic", "q": [-1, -1, -1], "c": [0, 0, 0]},
@@ -268,6 +287,14 @@ class TestRunProtocol:
         assert code == 2
         assert out == "" and err != ""
         assert "stage" not in err
+
+    def test_singular_decision_stage_is_exit_one(self, tmp_path, capsys):
+        doc = {**GOLDEN_CONFIG, "constraints": [{"kind": "coord", "index": i} for i in (0, 0, 2)]}
+        code, out, err = run(capsys, "run-protocol", write(tmp_path, "config.json", doc))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "stage 'decision'" in err
 
 
 class TestCliContract:

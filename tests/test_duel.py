@@ -41,6 +41,18 @@ small_duels = st.tuples(
 ).map(lambda case: (case[0], max(case[1], case[0].m, case[0].n)))
 
 
+def refusal_peak(solver, spec: DuelSpec, grid_n: int) -> int:
+    """Peak traced bytes of a call that the size guard refuses."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            solver(spec, grid_n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def symmetric_spec(shots: int) -> DuelSpec:
     return DuelSpec(shots, shots, IDENT, IDENT)
 
@@ -323,8 +335,7 @@ class TestSolveDuel:
 
     def test_two_versus_six_past_the_pair_cap(self):
         spec = DuelSpec(2, 6, IDENT, IDENT)
-        with pytest.raises(ResourceLimitError):
-            discretize_duel(spec, 81)
+        assert refusal_peak(discretize_duel, spec, 81) < 1 << 20
         solution = solve_duel(spec, 81)
         assert solution.residual <= 1e-9
         assert -1.0 <= solution.value <= 1.0
@@ -339,14 +350,7 @@ class TestSolveDuel:
         ],
     )
     def test_oversized_grid_refused_before_allocation(self, spec, grid_n):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError):
-                solve_duel(spec, grid_n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert refusal_peak(solve_duel, spec, grid_n) < 1 << 20
 
     def test_stalled_double_oracle_raises(self, monkeypatch):
         # Best responses already in the restricted game cannot close a gap of 2.

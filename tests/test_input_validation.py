@@ -31,7 +31,6 @@ TOSG = {
     [
         lambda: PayoffMatrix([["a", "b"]]),
         lambda: MixedStrategy(["half", "half"]),
-        lambda: MixedStrategy([1.0], atom_at_zero="zero"),
         lambda: TimeVector(["soon"]),
         lambda: AccuracyFunction.table([[0, 0], ["mid", 0.5], [1, 1]]),
         lambda: DuelSpec.from_dict({"m": "two", "n": 1, "p": {"kind": "identity"}, "q": {"kind": "identity"}}),

@@ -84,15 +84,6 @@ class TestMixedStrategy:
         with pytest.raises(InputError):
             MixedStrategy([0.7, -0.3])
 
-    def test_atom_counts_toward_mass(self):
-        s = MixedStrategy([0.0, 0.6], atom_at_zero=0.4)
-        assert s.on_grid()[0] == pytest.approx(0.4)
-        assert s.on_grid().sum() == pytest.approx(1.0)
-
-    def test_support_indices(self):
-        s = MixedStrategy([0.5, 0.0, 0.5])
-        assert list(s.support_indices()) == [0, 2]
-
 
 class TestExpectedPayoff:
     def test_one_hot_selects_entry(self):
