@@ -40,10 +40,10 @@ from .errors import (
 from .game_tree import (
     EvasionSolution,
     GameTree,
-    epsilon_strategy,
     evader_reach_probs,
     evaluate_tree,
     marksman_best,
+    marksman_strategy,
     solve_evasion_game,
 )
 from .matrix_game import (

@@ -16,7 +16,7 @@ from . import __version__
 from .duel import DuelSpec, simulate_duel, solve_duel
 from .errors import InputError, SolverError, StageError, TosgError
 from .game_tree import GameTree, evaluate_tree, solve_evasion_game
-from .matrix_game import PayoffMatrix, _field, solve_exact, solve_fictitious_play
+from .matrix_game import SADDLE_TOL, PayoffMatrix, _field, solve_exact, solve_fictitious_play
 from .decision import TosgProblem, solve_tosg
 from .pipeline import ProtocolConfig, run_protocol
 from .risk import EconomicRiskParams, MitigatingRiskParams, risk_economic, risk_mitigating
@@ -101,7 +101,7 @@ def _cmd_eval_tree(args) -> None:
 
 
 def _cmd_solve_evasion(args) -> None:
-    _emit_json(solve_evasion_game(tol=args.tol).to_dict(), args.output)
+    _emit_json(solve_evasion_game().to_dict(), args.output)
 
 
 def _cmd_solve_timing(args) -> None:
@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-matrix", help="solve a payoff matrix")
     common(p)
     p.add_argument("--method", choices=("exact", "fictitious-play"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=SADDLE_TOL)
     p.add_argument("--iterations", type=int, default=100_000)
     p.set_defaults(handler=_cmd_solve_matrix)
 
@@ -185,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-evasion", help="solve the aiming-and-evasion game")
     common(p, input_file=False)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(handler=_cmd_solve_evasion)
 
     p = sub.add_parser("solve-timing", help="solve a game of timing")

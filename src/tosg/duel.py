@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError, SolverError
 from .matrix_game import (
+    SADDLE_TOL,
     MixedStrategy,
     PayoffMatrix,
     _as_float_array,
@@ -329,14 +330,10 @@ def discretize_duel(spec: DuelSpec, grid_n: int) -> PayoffMatrix:
         math.comb(grid_n, spec.m) * math.comb(grid_n, spec.n),
         f"the full {spec.m}-vs-{spec.n} duel matrix on {grid_n} grid points",
     )
-    grid, p_hit, q_hit = _hits(spec, grid_n)
+    _, p_hit, q_hit = _hits(spec, grid_n)
     row_alive, row_fire = _profiles(_strategy_subsets(grid_n, spec.m), p_hit, grid_n)
     col_alive, col_fire = _profiles(_strategy_subsets(grid_n, spec.n), q_hit, grid_n)
-    return PayoffMatrix(
-        entries=row_fire @ col_alive.T - row_alive @ col_fire.T,
-        row_labels=grid if spec.m == 1 else None,
-        col_labels=grid if spec.n == 1 else None,
-    )
+    return PayoffMatrix(row_fire @ col_alive.T - row_alive @ col_fire.T)
 
 
 def _best_response(
@@ -403,7 +400,7 @@ def _support_interval(grid: np.ndarray, weights: np.ndarray) -> tuple[float, flo
     return lo, 1.0
 
 
-def solve_duel(spec: DuelSpec, grid_n: int, tol: float = 1e-9) -> DuelSolution:
+def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     """Solve the discretized duel by double oracle and report per-shot time densities.
 
     The game is the one discretize_duel builds, but the full matrix is never
@@ -412,7 +409,7 @@ def solve_duel(spec: DuelSpec, grid_n: int, tol: float = 1e-9) -> DuelSolution:
     of the grid (_best_response).  Those responses bound the full game's
     value: ``lower`` is what the column player can hold the row mixture to,
     ``upper`` what the row player can get off the column mixture.  The loop
-    stops once upper - lower <= tol; value is their midpoint and residual
+    stops once upper - lower <= SADDLE_TOL; value is their midpoint and residual
     their gap, so the saddle contract holds against the full game.
 
     A one-shot player starts with every grid point, so a 1-vs-1 duel is one
@@ -434,18 +431,18 @@ def solve_duel(spec: DuelSpec, grid_n: int, tol: float = 1e-9) -> DuelSolution:
         row_alive, row_fire = _profiles(np.array(rows), p_hit, grid_n)
         col_alive, col_fire = _profiles(np.array(cols), q_hit, grid_n)
         game = PayoffMatrix(row_fire @ col_alive.T - row_alive @ col_fire.T)
-        restricted = solve_exact(game, tol=tol)
+        restricted = solve_exact(game)
         sigma = restricted.row_strategy.weights
         tau = restricted.col_strategy.weights
         col_gain, col_best = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
         upper, row_best = _best_response(tau @ col_alive, tau @ col_fire, p_hit, spec.m)
         lower = -col_gain
         gap = max(upper - lower, 0.0)
-        if gap <= tol:
+        if gap <= SADDLE_TOL:
             break
         new_row, new_col = row_best not in rows, col_best not in cols
         if not (new_row or new_col):
-            raise SolverError(f"double oracle stalled at verified gap {gap:.3e} above tol {tol:.3e}")
+            raise SolverError(f"double oracle stalled at verified gap {gap:.3e} above {SADDLE_TOL:.3e}")
         _guard_restricted(len(rows) + new_row, len(cols) + new_col, grid_n)
         if new_row:
             rows.append(row_best)

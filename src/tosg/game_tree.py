@@ -8,16 +8,16 @@ reach probability, the marksman maximizes his hit chance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
-from .matrix_game import MixedStrategy, PayoffMatrix, _as_float_array, _field, solve_exact
+from .errors import InputError
+from .matrix_game import MixedStrategy, _as_float_array, _field
 
 _NODE_KINDS = ("leaf", "max", "min", "chance")
 _PROB_TOL = 1e-12
-_GRID_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -160,36 +160,21 @@ def marksman_best(x: float) -> tuple[int, float]:
     return best + 1, probs[best]
 
 
-def solve_evasion_game(tol: float = 1e-9) -> EvasionSolution:
-    """Minimize the largest reach probability over the move parameter.
+def solve_evasion_game() -> EvasionSolution:
+    """The evader's optimum x* = (3 - sqrt(5))/2, where (1-x)^2 = x.
 
-    The first two reach probabilities cross where (1-x)^2 = x, and the max
-    of the three is minimized exactly there; the crossing is found by
-    bisection of the monotone difference (1-x)^2 - x.
+    The first reach probability falls and the second rises in x, and the
+    third, x(1-x), never exceeds the second, so the largest of the three is
+    smallest where the first two cross: the root of x^2 - 3x + 1 in [0, 1].
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (1.0 - mid) * (1.0 - mid) - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x_star = 0.5 * (lo + hi)
-    probs = evader_reach_probs(x_star)
+    x_star = (3.0 - math.sqrt(5.0)) / 2.0
     position, value = marksman_best(x_star)
     return EvasionSolution(
         x_star=x_star,
         value=value,
         marksman_position=position,
-        reach_probs=probs,
+        reach_probs=evader_reach_probs(x_star),
     )
-
-
-def _reach_matrix(grid: np.ndarray) -> PayoffMatrix:
-    rows = np.array([[evader_reach_probs(x)[i] for x in grid] for i in range(3)])
-    return PayoffMatrix(entries=rows, col_labels=grid)
 
 
 def _continuous_guarantee(sigma: np.ndarray) -> float:
@@ -205,28 +190,15 @@ def _continuous_guarantee(sigma: np.ndarray) -> float:
     return float(min(a * x * x + b * x + s1 for x in candidates))
 
 
-def epsilon_strategy(epsilon: float, grid_n: int) -> tuple[MixedStrategy, float]:
-    """Marksman mix with a guaranteed hit probability within epsilon of V.
+def marksman_strategy() -> tuple[MixedStrategy, float]:
+    """The marksman's optimal mix (1/sqrt(5), 1 - 1/sqrt(5), 0) and its guarantee.
 
-    Solves the 3 x grid_n reach-probability game on successively refined
-    evader grids (grid_n -> 2*grid_n - 1) until the mix's guarantee against
-    the *continuous* evader, evaluated in closed form, reaches V - epsilon.
+    Aiming at the first two positions with weights s1 and 1 - s1 pays
+    s1 (1-x)^2 + (1 - s1) x against the evader; the mix is optimal when that
+    quadratic is smallest at x*, i.e. 1 - s1 = 2 s1 (1 - x*), so
+    s1 = 1/sqrt(5), and it then pays x* = V.  The guarantee is evaluated
+    against the continuous evader in closed form.
     """
-    if not epsilon > 0:
-        raise InputError("epsilon must be positive")
-    if grid_n < 11:
-        raise InputError("grid_n must be at least 11")
-    target = solve_evasion_game(tol=1e-12).value - epsilon
-    n = grid_n
-    while True:
-        solution = solve_exact(_reach_matrix(np.linspace(0.0, 1.0, n)))
-        sigma = solution.row_strategy
-        guaranteed = _continuous_guarantee(sigma.weights)
-        if guaranteed >= target:
-            return sigma, guaranteed
-        if 2 * n - 1 > _GRID_CAP:
-            raise ResourceLimitError(
-                f"guarantee {guaranteed:.6f} still below {target:.6f} at the "
-                f"{_GRID_CAP}-point grid cap"
-            )
-        n = 2 * n - 1
+    s1 = 1.0 / math.sqrt(5.0)
+    weights = np.array([s1, 1.0 - s1, 0.0])
+    return MixedStrategy(weights), _continuous_guarantee(weights)

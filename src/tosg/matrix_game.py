@@ -16,6 +16,8 @@ from scipy.optimize import linprog
 from .errors import InputError, SolverError
 
 MASS_TOL = 1e-12
+# The verified saddle gap every exact solve must reach.
+SADDLE_TOL = 1e-9
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -67,15 +69,9 @@ def _time_table(points, name: str) -> tuple[tuple[float, float], ...]:
 
 @dataclass(frozen=True, eq=False)
 class PayoffMatrix:
-    """Payoff to the row player for every pure-strategy pair.
-
-    Labels, when present, are the real grid coordinates in [0, 1] behind the
-    row/column indices (used by the duel and timing solvers).
-    """
+    """Payoff to the row player for every pure-strategy pair."""
 
     entries: np.ndarray
-    row_labels: np.ndarray | None = None
-    col_labels: np.ndarray | None = None
 
     def __post_init__(self):
         entries = _as_float_array(self.entries, "entries", 2)
@@ -83,17 +79,6 @@ class PayoffMatrix:
             raise InputError("payoff matrix needs at least one row and one column")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        for attr, size in (("row_labels", entries.shape[0]), ("col_labels", entries.shape[1])):
-            labels = getattr(self, attr)
-            if labels is None:
-                continue
-            labels = _as_float_array(labels, attr, 1)
-            if labels.shape[0] != size:
-                raise InputError(f"{attr} length {labels.shape[0]} != {size}")
-            if np.any(np.diff(labels) <= 0):
-                raise InputError(f"{attr} must be strictly increasing")
-            labels.setflags(write=False)
-            object.__setattr__(self, attr, labels)
 
     @property
     def rows(self) -> int:
@@ -105,11 +90,7 @@ class PayoffMatrix:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PayoffMatrix":
-        game = cls(
-            entries=_field(doc, "entries", "payoff matrix document"),
-            row_labels=doc.get("row_labels"),
-            col_labels=doc.get("col_labels"),
-        )
+        game = cls(_field(doc, "entries", "payoff matrix document"))
         for key in ("rows", "cols"):
             declared = doc.get(key, getattr(game, key))
             if _as_int(declared, f"declared {key}") != getattr(game, key):
@@ -117,12 +98,7 @@ class PayoffMatrix:
         return game
 
     def to_dict(self) -> dict:
-        doc = {"rows": self.rows, "cols": self.cols, "entries": self.entries.tolist()}
-        if self.row_labels is not None:
-            doc["row_labels"] = self.row_labels.tolist()
-        if self.col_labels is not None:
-            doc["col_labels"] = self.col_labels.tolist()
-        return doc
+        return {"rows": self.rows, "cols": self.cols, "entries": self.entries.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +205,7 @@ def _normalized(x: np.ndarray) -> np.ndarray:
     return x / total
 
 
-def solve_exact(game: PayoffMatrix, tol: float = 1e-9) -> GameSolution:
+def solve_exact(game: PayoffMatrix, tol: float = SADDLE_TOL) -> GameSolution:
     """Solve the game by linear programming.
 
     One HiGHS program maximizes v subject to sigma^T A >= v per column; the
@@ -240,9 +216,10 @@ def solve_exact(game: PayoffMatrix, tol: float = 1e-9) -> GameSolution:
         payoff(sigma*, any pure column) >= value - residual
         payoff(any pure row, tau*) <= value + residual
 
-    holds by construction.  A verified gap above ``tol`` raises SolverError;
-    in practice the LP solver reaches machine-level gaps on the sizes
-    handled here.
+    holds by construction.  A skew-symmetric game (A = -A^T) has value 0 and
+    one optimal strategy for both players, so both get whichever of sigma
+    and tau guarantees more; the gap is then twice that one's shortfall.  A
+    verified gap above ``tol`` raises SolverError.
     """
     if not tol > 0:
         raise InputError("tol must be positive")
@@ -267,6 +244,10 @@ def solve_exact(game: PayoffMatrix, tol: float = 1e-9) -> GameSolution:
     sigma = _normalized(row.x[:m])
     # HiGHS reports the duals of <= rows as nonpositive; negated they are tau*.
     tau = _normalized(-row.ineqlin.marginals)
+    if m == n and np.array_equal(a, -a.T):
+        if (tau @ a).min() > (sigma @ a).min():
+            sigma = tau
+        tau = sigma
     lower, upper = _verified_bounds(game, sigma, tau)
     gap = max(upper - lower, 0.0)
     if gap > tol:

@@ -149,28 +149,24 @@ class ValidationReport:
 
 def validate_kernel(kernel: TimingKernel) -> ValidationReport:
     """Check monotonicity and slope signs of A on the triangle x <= y."""
-    a = kernel.a_upper
+    a = np.triu(kernel.a_upper)  # whatever lies below the diagonal is never read
     n = kernel.grid_n
-    x_diffs = []  # along x, fixed y, within x <= y
-    y_diffs = []  # along y, fixed x
-    for j in range(1, n):
-        x_diffs.append(np.diff(a[: j + 1, j]))
-    for i in range(n - 1):
-        y_diffs.append(np.diff(a[i, i:]))
-    dx = np.concatenate(x_diffs) if x_diffs else np.empty(0)
-    dy = np.concatenate(y_diffs) if y_diffs else np.empty(0)
+    # Steps between neighbours that both lie on the triangle x <= y:
+    # (i, j) -> (i+1, j) needs i < j, and (i, j) -> (i, j+1) needs i <= j.
+    dx = np.diff(a, axis=0)[np.triu(np.ones((n - 1, n), dtype=bool), k=1)]
+    dy = np.diff(a, axis=1)[np.triu(np.ones((n, n - 1), dtype=bool))]
 
-    steps = np.concatenate([np.abs(dx), np.abs(dy)]) if dx.size + dy.size else np.empty(0)
+    steps = np.abs(np.concatenate([dx, dy]))
     tri = a[np.triu_indices(n)]
     value_range = float(tri.max() - tri.min())
     step_bound = _CONTINUITY_FACTOR * (value_range + _STRICT_TOL) / (n - 1)
 
     return ValidationReport(
-        strictly_increasing_in_x=bool(np.all(dx > _STRICT_TOL)) if dx.size else True,
-        strictly_decreasing_in_y=bool(np.all(dy < -_STRICT_TOL)) if dy.size else True,
+        strictly_increasing_in_x=bool(np.all(dx > _STRICT_TOL)),
+        strictly_decreasing_in_y=bool(np.all(dy < -_STRICT_TOL)),
         nonneg_x_slope=bool(np.all(dx >= -_STRICT_TOL)),
         nonpos_y_slope=bool(np.all(dy <= _STRICT_TOL)),
-        continuity_proxy=bool(np.all(steps <= step_bound)) if steps.size else True,
+        continuity_proxy=bool(np.all(steps <= step_bound)),
     )
 
 
@@ -241,12 +237,9 @@ def verify_optimality(kernel: TimingKernel, strategy: MixedStrategy) -> tuple[fl
     return residual_eq11, residual_eq12
 
 
-def solve_timing(kernel: TimingKernel, tol: float = 1e-9) -> TimingSolution:
+def solve_timing(kernel: TimingKernel) -> TimingSolution:
     """Solve the discretized timing game; both players share the strategy."""
-    game = PayoffMatrix(
-        entries=kernel.matrix, row_labels=kernel.grid, col_labels=kernel.grid
-    )
-    solution = solve_exact(game, tol=tol)
+    solution = solve_exact(PayoffMatrix(kernel.matrix))
     strategy = solution.row_strategy
     points, has_zero_atom = spectrum(strategy, kernel)
     support_lo = float(points[0]) if points.size else 0.0  # all mass at the origin atom

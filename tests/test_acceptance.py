@@ -38,7 +38,7 @@ def criterion(number: int, budget_s: float, description: str):
 
 def test_criterion_01_evasion_game_value():
     with criterion(1, 0.1, "evasion game value 0.381966"):
-        solution = solve_evasion_game(tol=1e-9)
+        solution = solve_evasion_game()
         golden = 0.3819660112501051
         assert abs(solution.x_star - golden) <= 1e-6
         assert abs(solution.value - solution.x_star) <= 1e-6
@@ -109,7 +109,7 @@ def test_criterion_06_symmetric_silent_duel():
         spec = DuelSpec(1, 1, IDENT, IDENT)
         desk = solve_duel(spec, 201)
         assert abs(desk.value) <= 1e-9
-        oracle = solve_duel(spec, 801, tol=1e-6)  # fine-grid oracle
+        oracle = solve_duel(spec, 801)  # fine-grid oracle
         assert abs(desk.support_p1[0] - oracle.support_p1[0]) <= 0.02
         assert abs(oracle.support_p1[0] - 1.0 / 3.0) <= 0.02  # classical cross-check
 

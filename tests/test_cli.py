@@ -49,7 +49,7 @@ def run(capsys, *argv):
 
 class TestSolveEvasion:
     def test_stdout_json_and_exit_zero(self, capsys):
-        code, out, err = run(capsys, "solve-evasion", "--tol", "1e-9")
+        code, out, err = run(capsys, "solve-evasion")
         assert code == 0
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(0.381966, abs=1e-6)
@@ -64,6 +64,16 @@ class TestSolveMatrix:
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(1.5)
         assert doc["method"] == "exact"
+
+    def test_skew_symmetric_game_shares_one_strategy(self, tmp_path, capsys):
+        # Rock-paper-scissors with unequal stakes.
+        game = {"entries": [[0.0, -1.0, 2.0], [1.0, 0.0, -3.0], [-2.0, 3.0, 0.0]]}
+        code, out, _ = run(capsys, "solve-matrix", write(tmp_path, "game.json", game))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["row_strategy"] == doc["col_strategy"]
+        assert doc["row_strategy"]["weights"] == pytest.approx([0.5, 1 / 3, 1 / 6])
+        assert abs(doc["value"]) <= 1e-9
 
     def test_fictitious_play(self, tmp_path, capsys):
         path = write(tmp_path, "game.json", {"entries": [[1.0, -1.0], [-1.0, 1.0]]})
@@ -205,6 +215,12 @@ class TestTreeAndTiming:
         lines = out.strip().splitlines()
         assert lines[0] == "t,weight,cdf"
         assert len(lines) == 22
+
+    def test_solve_timing_801_meets_default_tol(self, tmp_path, capsys):
+        path = write(tmp_path, "kernel.json", {"A": {"kind": "duel"}, "grid_n": 801})
+        code, out, err = run(capsys, "solve-timing", path)
+        assert code == 0, err
+        assert json.loads(out)["residual_eq11"] <= 5e-10
 
 
 class TestRiskAndTosg:
@@ -384,7 +400,7 @@ class TestCliContract:
 
 # Small valid documents for every subcommand that reads one, with its flags.
 SEED_DOCUMENTS = {
-    "solve-matrix": ((), {**MATRIX, "row_labels": [0.0, 1.0], "col_labels": [0.0, 1.0]}),
+    "solve-matrix": ((), MATRIX),
     "solve-duel": (
         ("--grid", "5"),
         {

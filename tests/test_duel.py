@@ -219,11 +219,6 @@ class TestDiscretizeDuel:
                 expected = duel_payoff(spec, grid[list(subset)], [grid[c]])
                 assert game.entries[r, c] == pytest.approx(expected, abs=1e-12)
 
-    def test_labels_only_for_single_shot(self):
-        game = discretize_duel(DuelSpec(2, 1, IDENT, IDENT), 5)
-        assert game.row_labels is None
-        assert game.col_labels is not None
-
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             discretize_duel(DuelSpec(2, 6, IDENT, IDENT), 31)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tosg.errors import InputError, ResourceLimitError
+from tosg.errors import InputError
 from tosg.game_tree import (
     GameTree,
-    epsilon_strategy,
     evader_reach_probs,
     evaluate_tree,
     marksman_best,
+    marksman_strategy,
     solve_evasion_game,
 )
+from tosg.matrix_game import PayoffMatrix, solve_exact
 
 GOLDEN_X = (3.0 - math.sqrt(5.0)) / 2.0  # crossing of (1-x)^2 and x
 
@@ -117,67 +118,51 @@ class TestMarksmanBest:
 
 class TestSolveEvasionGame:
     def test_golden_section_value(self):
-        solution = solve_evasion_game(tol=1e-9)
-        assert solution.x_star == pytest.approx(GOLDEN_X, abs=1e-9)
+        solution = solve_evasion_game()
+        assert solution.x_star == pytest.approx(GOLDEN_X, abs=1e-15)
         assert solution.value == pytest.approx(0.382, abs=5e-4)
         assert solution.marksman_position == 1
         assert sum(solution.reach_probs) == 1.0
 
     def test_fixed_point(self):
-        solution = solve_evasion_game(tol=1e-9)
-        assert abs(solution.value - solution.x_star) <= 1e-8
-        assert abs(solution.value - (1.0 - solution.x_star) ** 2) <= 1e-8
+        solution = solve_evasion_game()
+        assert abs(solution.value - solution.x_star) <= 1e-15
+        assert abs(solution.value - (1.0 - solution.x_star) ** 2) <= 1e-15
 
     def test_optimal_on_grid_sweep(self):
-        solution = solve_evasion_game(tol=1e-9)
+        solution = solve_evasion_game()
         best = max(evader_reach_probs(solution.x_star))
         for x in np.linspace(0.0, 1.0, 11):
             assert best <= max(evader_reach_probs(float(x))) + 1e-9
 
-    def test_tol_validation(self):
-        with pytest.raises(InputError):
-            solve_evasion_game(tol=0.0)
+
+def reach_payoff(weights, x: float) -> float:
+    return float(np.asarray(weights) @ np.array(evader_reach_probs(x)))
 
 
-class TestEpsilonStrategy:
-    def test_guarantee_close_to_value(self):
-        mix, guaranteed = epsilon_strategy(0.01, 21)
-        assert guaranteed >= 0.372
-        assert mix.weights.shape == (3,)
+class TestMarksmanStrategy:
+    def test_exact_mix_and_guarantee(self):
+        mix, guaranteed = marksman_strategy()
+        s1 = 1.0 / math.sqrt(5.0)
+        assert mix.weights == pytest.approx([s1, 1.0 - s1, 0.0], abs=1e-16)
+        value = solve_evasion_game().value
+        assert abs(guaranteed - value) <= math.ulp(value)
 
-    def test_loose_epsilon_reports_exact_guarantee(self):
-        mix, guaranteed = epsilon_strategy(0.5, 11)
-        # any mix qualifies at this slack; the guarantee is still the real
-        # worst case of the returned mix against the continuous evader
-        worst = min(
-            float(mix.weights @ np.array(evader_reach_probs(float(x))))
-            for x in np.linspace(0.0, 1.0, 2001)
-        )
-        assert guaranteed <= worst + 1e-9
+    def test_guarantee_is_worst_case_against_evader(self):
+        mix, guaranteed = marksman_strategy()
+        grid = np.linspace(0.0, 1.0, 2001)
+        worst = min(reach_payoff(mix.weights, float(x)) for x in grid)
+        assert guaranteed <= worst + 1e-12
+        # The evader's best reply is x*, which the grid misses by under a cell.
+        assert worst - guaranteed <= (grid[1] - grid[0]) ** 2
+        assert reach_payoff(mix.weights, GOLDEN_X) == pytest.approx(guaranteed, abs=1e-15)
 
-    def test_never_exceeds_game_value(self):
-        v = solve_evasion_game(tol=1e-12).value
-        for grid_n in (11, 21, 41):
-            _, guaranteed = epsilon_strategy(0.05, grid_n)
-            assert guaranteed <= v + 1e-9
-
-    def test_guarantee_monotone_on_refinement_chain(self):
-        # loose epsilon, so each call reports its own grid's single solve
-        guarantees = [epsilon_strategy(0.5, n)[1] for n in (11, 21, 41, 81)]
-        for a, b in zip(guarantees, guarantees[1:]):
-            assert b >= a - 1e-9
-
-    def test_tight_epsilon_refines_internally(self):
-        _, from_coarse = epsilon_strategy(1e-6, 11)
-        target = solve_evasion_game(tol=1e-12).value - 1e-6
-        assert from_coarse >= target
-
-    def test_unreachable_guarantee_hits_grid_cap(self):
-        with pytest.raises(ResourceLimitError):
-            epsilon_strategy(1e-15, 11)
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            epsilon_strategy(0.0, 21)
-        with pytest.raises(InputError):
-            epsilon_strategy(0.01, 5)
+    def test_no_grid_lp_mix_guarantees_more(self):
+        _, guaranteed = marksman_strategy()
+        fine = np.linspace(0.0, 1.0, 4001)
+        for grid_n in (11, 21, 41, 81):
+            # The LP optimum of the game against an evader held to a grid.
+            grid = np.linspace(0.0, 1.0, grid_n)
+            entries = np.array([evader_reach_probs(float(x)) for x in grid]).T
+            lp_mix = solve_exact(PayoffMatrix(entries)).row_strategy.weights
+            assert min(reach_payoff(lp_mix, float(x)) for x in fine) <= guaranteed + 1e-12

@@ -10,6 +10,8 @@ from tosg.duel import MAX_STRATEGY_PAIRS, AccuracyFunction, DuelSpec, discretize
 from tosg.errors import InputError, ResourceLimitError
 from tosg.matrix_game import MixedStrategy, PayoffMatrix, solve_fictitious_play
 from tosg.timing import (
+    TimingKernel,
+    ValidationReport,
     build_kernel,
     classify_boundary,
     duel_kernel_fn,
@@ -26,6 +28,22 @@ DUEL_201 = build_kernel(duel_kernel_fn, 201)
 
 def pure_at(index: int, size: int) -> MixedStrategy:
     return MixedStrategy.pure(index, size)
+
+
+def loop_report(kernel: TimingKernel) -> ValidationReport:
+    """validate_kernel's result by explicit loops over the triangle's columns and rows."""
+    a, n = kernel.a_upper, kernel.grid_n
+    dx = np.concatenate([np.diff(a[: j + 1, j]) for j in range(1, n)])
+    dy = np.concatenate([np.diff(a[i, i:]) for i in range(n - 1)])
+    tri = [a[i, j] for i in range(n) for j in range(i, n)]
+    step_bound = 10.0 * (max(tri) - min(tri) + 1e-12) / (n - 1)
+    return ValidationReport(
+        strictly_increasing_in_x=bool(np.all(dx > 1e-12)),
+        strictly_decreasing_in_y=bool(np.all(dy < -1e-12)),
+        nonneg_x_slope=bool(np.all(dx >= -1e-12)),
+        nonpos_y_slope=bool(np.all(dy <= 1e-12)),
+        continuity_proxy=bool(np.all(np.abs(np.concatenate([dx, dy])) <= step_bound)),
+    )
 
 
 class TestBuildKernel:
@@ -114,6 +132,25 @@ class TestValidateKernel:
         assert not report.strictly_decreasing_in_y
         assert report.nonneg_x_slope and report.nonpos_y_slope
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 30),
+        st.sampled_from(["monotone", "noisy", "random"]),
+        st.sampled_from([np.nan, np.inf, -1e300, 0.0, "random"]),
+    )
+    def test_matches_loop_reference_whatever_lies_below(self, seed, grid_n, shape, below):
+        rng = np.random.default_rng(seed)
+        upper = random_monotone_kernel(rng, grid_n).a_upper
+        if shape == "noisy":
+            upper = upper + rng.normal(0.0, 1e-3, upper.shape)
+        elif shape == "random":
+            upper = rng.uniform(-1.0, 1.0, upper.shape)
+        fill = rng.uniform(-1e3, 1e3, upper.shape) if below == "random" else below
+        a_upper = np.where(np.triu(np.ones(upper.shape, dtype=bool)), upper, fill)
+        kernel = TimingKernel(grid=np.linspace(0.0, 1.0, grid_n), a_upper=a_upper)
+        assert validate_kernel(kernel) == loop_report(kernel)
+
     def test_jump_breaks_continuity_proxy(self):
         report = validate_kernel(build_kernel(lambda x, y: x - y + np.where(x > 0.5, 5.0, 0.0), 51))
         assert not report.continuity_proxy
@@ -160,6 +197,12 @@ class TestSolveTiming:
         solution = solve_timing(kernel)
         assert abs(solution.value) <= 1e-9
         assert solution.residual_eq11 <= 1e-6
+
+    def test_duel_kernel_801_meets_default_tol(self):
+        # The row LP's own strategy falls short by 3.6e-9 here; its dual does not.
+        solution = solve_timing(build_kernel(duel_kernel_fn, 801))
+        assert solution.residual_eq11 <= 5e-10
+        assert abs(solution.value) <= 1e-9
 
     def test_support_refinement_moves_at_most_one_cell(self):
         for grid_n in (51, 101):
