@@ -16,7 +16,7 @@ from . import __version__
 from .duel import DuelSpec, simulate_duel, solve_duel
 from .errors import InputError, SolverError, StageError, TosgError
 from .game_tree import GameTree, evaluate_tree, solve_evasion_game
-from .matrix_game import SADDLE_TOL, PayoffMatrix, _field, solve_exact, solve_fictitious_play
+from .matrix_game import PayoffMatrix, _field, solve_exact, solve_fictitious_play
 from .decision import TosgProblem, solve_tosg
 from .pipeline import ProtocolConfig, run_protocol
 from .risk import EconomicRiskParams, MitigatingRiskParams, risk_economic, risk_mitigating
@@ -64,9 +64,9 @@ def _density_csv(grid: np.ndarray, weights: np.ndarray) -> str:
 def _cmd_solve_matrix(args) -> None:
     game = PayoffMatrix.from_dict(_read_document(args.input))
     if args.method == "exact":
-        solution = solve_exact(game, tol=args.tol)
+        solution = solve_exact(game)
     else:
-        solution = solve_fictitious_play(game, max_iterations=args.iterations, tol=args.tol)
+        solution = solve_fictitious_play(game, max_iterations=args.iterations)
     _emit_json(solution.to_dict(), args.output)
 
 
@@ -105,10 +105,7 @@ def _cmd_solve_evasion(args) -> None:
 
 
 def _cmd_solve_timing(args) -> None:
-    doc = _read_document(args.input)
-    if args.grid is not None:
-        doc = {"A": _field(doc, "A", "kernel document"), "grid_n": args.grid}
-    kernel = kernel_from_spec(doc)
+    kernel = kernel_from_spec(_read_document(args.input))
     solution = solve_timing(kernel)
     if args.format == "csv":
         _emit(_density_csv(kernel.grid, solution.strategy.weights), args.output)
@@ -130,7 +127,7 @@ def _cmd_risk(args) -> None:
 
 def _cmd_solve_tosg(args) -> None:
     problem = TosgProblem.from_dict(_read_document(args.input))
-    _emit_json(solve_tosg(problem, tol=args.tol).to_dict(), args.output)
+    _emit_json(solve_tosg(problem).to_dict(), args.output)
 
 
 def _cmd_run_protocol(args) -> None:
@@ -164,7 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-matrix", help="solve a payoff matrix")
     common(p)
     p.add_argument("--method", choices=("exact", "fictitious-play"), default="exact")
-    p.add_argument("--tol", type=float, default=SADDLE_TOL)
     p.add_argument("--iterations", type=int, default=100_000)
     p.set_defaults(handler=_cmd_solve_matrix)
 
@@ -189,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-timing", help="solve a game of timing")
     common(p, fmt=True)
-    p.add_argument("--grid", type=int, help="override the document's grid_n")
     p.set_defaults(handler=_cmd_solve_timing)
 
     p = sub.add_parser("risk", help="evaluate risk scores")
@@ -198,7 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-tosg", help="solve the constrained decision problem")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(handler=_cmd_solve_tosg)
 
     p = sub.add_parser("run-protocol", help="run the full decision pipeline")

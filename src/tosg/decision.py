@@ -20,6 +20,10 @@ from .errors import ConvergenceError, DegenerateProblemError, InputError, Solver
 from .matrix_game import _as_float_array, _as_int, _field
 from .risk import MitigatingRiskParams, risk_mitigating
 
+# solve_tosg's Newton iteration: both KKT residuals within _KKT_TOL in at most _MAX_STEPS.
+_KKT_TOL = 1e-10
+_MAX_STEPS = 50
+
 
 def finite_triple(values, name: str) -> tuple[float, float, float]:
     """Exactly three finite numbers, as a tuple of floats."""
@@ -222,16 +226,11 @@ class TosgSolution:
         }
 
 
-def _check_vector(problem: TosgProblem, d) -> np.ndarray:
+def tosg_value(problem: TosgProblem, d, multipliers) -> float:
+    """Objective plus multiplier-weighted constraint deviations from target."""
     d = _as_float_array(d, "decision vector", 1)
     if d.shape != (problem.dimension,):
         raise InputError(f"decision vector must have shape ({problem.dimension},)")
-    return d
-
-
-def tosg_value(problem: TosgProblem, d, multipliers) -> float:
-    """Objective plus multiplier-weighted constraint deviations from target."""
-    d = _check_vector(problem, d)
     multipliers = finite_triple(multipliers, "multipliers")
     total = problem.objective.value(d)
     for mult, constraint, target in zip(multipliers, problem.constraints, problem.targets):
@@ -262,25 +261,17 @@ def constraint_targets_from_risk(
 
 # Overflow in the iteration surfaces as a non-finite step or value, both reported.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_tosg(
-    problem: TosgProblem,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    start=None,
-) -> TosgSolution:
+def solve_tosg(problem: TosgProblem) -> TosgSolution:
     """Newton iteration on the KKT system of the equality-constrained problem.
 
-    Returns the stationary feasible point and the recovered multipliers.
-    Raises DegenerateProblemError on a singular KKT matrix and
-    ConvergenceError (with residuals attached) when max_iter is exhausted.
-    ``start`` overrides the zero initial decision vector.
+    Starts from the origin with zero multipliers and returns the stationary
+    feasible point and the recovered multipliers.  Raises
+    DegenerateProblemError on a singular KKT matrix and ConvergenceError
+    (with residuals attached) when _MAX_STEPS Newton steps do not bring
+    both residuals to _KKT_TOL.
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
-    if max_iter < 1:
-        raise InputError("max_iter must be at least 1")
     n = problem.dimension
-    d = np.zeros(n) if start is None else _check_vector(problem, start).copy()
+    d = np.zeros(n)
     multipliers = np.zeros(3)
 
     def residuals(d, multipliers):
@@ -297,11 +288,11 @@ def solve_tosg(
         lagrangian_grad, jac, deviation = residuals(d, multipliers)
         stationarity = float(np.abs(lagrangian_grad).max())
         feasibility = float(np.abs(deviation).max())
-        if stationarity <= tol and feasibility <= tol:
+        if stationarity <= _KKT_TOL and feasibility <= _KKT_TOL:
             break
-        if steps >= max_iter:
+        if steps >= _MAX_STEPS:
             raise ConvergenceError(
-                f"no convergence within {max_iter} iterations",
+                f"no convergence within {_MAX_STEPS} iterations",
                 stationarity_residual=stationarity,
                 feasibility_residual=feasibility,
             )

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError, SolverError
 from .matrix_game import (
+    DUST_TOL,
     SADDLE_TOL,
     MixedStrategy,
     PayoffMatrix,
@@ -31,7 +32,6 @@ from .matrix_game import (
 # games and profile arrays to the same size, and timing.build_kernel its
 # grid_n**2 kernel cells.
 MAX_STRATEGY_PAIRS = 12_000_000
-SUPPORT_TOL = 1e-6
 # The one tie rule implemented; see the module docstring.
 TIE_RULE = "simultaneous-independent"
 _SIM_CHUNK = 1 << 14
@@ -88,7 +88,7 @@ class AccuracyFunction:
             t = np.asarray(t, dtype=float)
         except (TypeError, ValueError):
             raise InputError("accuracy argument must be numeric") from None
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise InputError("accuracy argument outside [0, 1]")
         if self.kind == "identity":
             out = t
@@ -395,7 +395,7 @@ def _time_marginal(weights: np.ndarray, subsets: np.ndarray, grid_n: int, shots:
 
 
 def _support_interval(grid: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    above = grid[weights > SUPPORT_TOL]
+    above = grid[weights > DUST_TOL]
     lo = float(above.min()) if above.size else 1.0
     return lo, 1.0
 

@@ -16,6 +16,8 @@ from scipy.optimize import linprog
 from .errors import InputError, SolverError
 
 MASS_TOL = 1e-12
+# Strategy weights at or below this are dust: outside a reported support.
+DUST_TOL = 1e-6
 # The verified saddle gap every exact solve must reach.
 SADDLE_TOL = 1e-9
 _LP_OPTIONS = {
@@ -205,7 +207,7 @@ def _normalized(x: np.ndarray) -> np.ndarray:
     return x / total
 
 
-def solve_exact(game: PayoffMatrix, tol: float = SADDLE_TOL) -> GameSolution:
+def solve_exact(game: PayoffMatrix) -> GameSolution:
     """Solve the game by linear programming.
 
     One HiGHS program maximizes v subject to sigma^T A >= v per column; the
@@ -219,10 +221,8 @@ def solve_exact(game: PayoffMatrix, tol: float = SADDLE_TOL) -> GameSolution:
     holds by construction.  A skew-symmetric game (A = -A^T) has value 0 and
     one optimal strategy for both players, so both get whichever of sigma
     and tau guarantees more; the gap is then twice that one's shortfall.  A
-    verified gap above ``tol`` raises SolverError.
+    verified gap above SADDLE_TOL raises SolverError.
     """
-    if not tol > 0:
-        raise InputError("tol must be positive")
     a = game.entries
     m, n = a.shape
 
@@ -250,8 +250,8 @@ def solve_exact(game: PayoffMatrix, tol: float = SADDLE_TOL) -> GameSolution:
         tau = sigma
     lower, upper = _verified_bounds(game, sigma, tau)
     gap = max(upper - lower, 0.0)
-    if gap > tol:
-        raise SolverError(f"saddle gap {gap:.3e} exceeds tol {tol:.3e}")
+    if gap > SADDLE_TOL:
+        raise SolverError(f"saddle gap {gap:.3e} exceeds tol {SADDLE_TOL:.3e}")
     return GameSolution(
         value=0.5 * (lower + upper),
         row_strategy=MixedStrategy(sigma),
@@ -262,7 +262,7 @@ def solve_exact(game: PayoffMatrix, tol: float = SADDLE_TOL) -> GameSolution:
 
 
 def solve_fictitious_play(
-    game: PayoffMatrix, max_iterations: int, tol: float = 1e-6
+    game: PayoffMatrix, max_iterations: int, tol: float = SADDLE_TOL
 ) -> GameSolution:
     """Solve the game by iterated best responses to empirical frequencies.
 

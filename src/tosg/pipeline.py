@@ -4,9 +4,9 @@ interval.
 
 The imbedding is the additive potential K'(x, y) = K(x, y) + w*(g(x) - g(y)),
 the simple additive form that preserves skew-symmetry exactly; the score g
-defaults to the decision value along the straight path from the solver start
-to the optimum, rescaled to [0, 1].  Both constructions are documented
-conventions of this toolkit.
+defaults to the decision value along the straight path from the origin (where
+solve_tosg starts) to the optimum, rescaled to [0, 1].  Both constructions are
+documented conventions of this toolkit.
 """
 
 from __future__ import annotations
@@ -175,13 +175,7 @@ class ProtocolReport:
 def _decision_path_scores(
     problem: TosgProblem, solution: TosgSolution, grid: np.ndarray
 ) -> np.ndarray:
-    start = np.zeros(problem.dimension)
-    raw = np.array(
-        [
-            tosg_value(problem, (1.0 - t) * start + t * solution.d_star, solution.multipliers)
-            for t in grid
-        ]
-    )
+    raw = np.array([tosg_value(problem, t * solution.d_star, solution.multipliers) for t in grid])
     lo, hi = raw.min(), raw.max()
     if hi - lo <= 0.0:
         return np.zeros_like(raw)

@@ -15,9 +15,16 @@ import numpy as np
 
 from .duel import guard_cells
 from .errors import InputError
-from .matrix_game import MixedStrategy, PayoffMatrix, _as_float_array, _as_int, _field, solve_exact
+from .matrix_game import (
+    DUST_TOL,
+    MixedStrategy,
+    PayoffMatrix,
+    _as_float_array,
+    _as_int,
+    _field,
+    solve_exact,
+)
 
-ATOM_TOL = 1e-6
 _STRICT_TOL = 1e-12
 _CONTINUITY_FACTOR = 10.0
 
@@ -255,7 +262,7 @@ def solve_timing(kernel: TimingKernel) -> TimingSolution:
 
 
 def spectrum(
-    strategy: MixedStrategy, kernel: TimingKernel, atom_tol: float = ATOM_TOL
+    strategy: MixedStrategy, kernel: TimingKernel, atom_tol: float = DUST_TOL
 ) -> tuple[np.ndarray, bool]:
     """Grid points carrying mass above atom_tol, with the zero atom split off."""
     if not atom_tol > 0:
@@ -269,7 +276,7 @@ def spectrum(
 
 
 def spectrum_in_basic_interval(
-    kernel: TimingKernel, strategy: MixedStrategy, atom_tol: float = ATOM_TOL
+    kernel: TimingKernel, strategy: MixedStrategy, atom_tol: float = DUST_TOL
 ) -> bool | None:
     """Advisory check that the spectrum lies in [b, 1], b the first point
     where A(x, x) turns nonnegative.  None when b is undefined."""

@@ -1,8 +1,11 @@
+import argparse
 import copy
 import functools
 import json
 import math
 import operator
+import re
+import shlex
 import sys
 import warnings
 from pathlib import Path
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tosg.cli import main
+from tosg.cli import _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_CONFIG = json.loads((DATA / "golden_protocol_config.json").read_text())
@@ -210,7 +213,8 @@ class TestTreeAndTiming:
         assert abs(doc["value"]) <= 1e-9
         assert doc["support_lo"] == pytest.approx(1 / 3, abs=0.02)
 
-        code, out, _ = run(capsys, "solve-timing", path, "--grid", "21", "--format", "csv")
+        path = write(tmp_path, "kernel21.json", {"A": {"kind": "duel"}, "grid_n": 21})
+        code, out, _ = run(capsys, "solve-timing", path, "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "t,weight,cdf"
@@ -396,6 +400,64 @@ class TestCliContract:
         code, out, err = run(capsys, command, path)
         assert code == 2
         assert err != ""
+
+
+# Every option of every subcommand; "input" is the positional document path.
+CLI_SURFACE = {
+    "solve-matrix": {"input", "--output", "--method", "--iterations"},
+    "solve-duel": {"input", "--output", "--format", "--grid"},
+    "simulate-duel": {"input", "--output", "--seed", "--iterations"},
+    "eval-tree": {"input", "--output"},
+    "solve-evasion": {"--output"},
+    "solve-timing": {"input", "--output", "--format"},
+    "risk": {"input", "--output"},
+    "solve-tosg": {"input", "--output"},
+    "run-protocol": {"input", "--output", "--format"},
+}
+
+
+class TestCliSurface:
+    def test_options_match_the_table(self):
+        (subparsers,) = (
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        surface = {
+            name: {
+                option
+                for action in sub._actions
+                if not isinstance(action, argparse._HelpAction)
+                for option in (action.option_strings or [action.dest])
+            }
+            for name, sub in subparsers.choices.items()
+        }
+        assert surface == CLI_SURFACE
+
+    @pytest.mark.parametrize(
+        "command, document, flag",
+        [
+            ("solve-matrix", MATRIX, ["--tol", "1e-9"]),
+            ("solve-tosg", TOSG, ["--tol", "1e-10"]),
+            ("solve-timing", {"A": {"kind": "duel"}, "grid_n": 11}, ["--grid", "21"]),
+        ],
+    )
+    def test_removed_flags_exit_two(self, tmp_path, capsys, command, document, flag):
+        code, out, err = run(capsys, command, write(tmp_path, "doc.json", document), *flag)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: " + " ".join(flag) in err
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        lines = [line for line in block.splitlines() if line.startswith("tosg ")]
+        parser = _build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit as exc:  # --version exits 0; a parse error exits 2
+                assert exc.code == 0, line
+        documented = {line.split()[1] for line in lines} - {"--version"}
+        assert documented == set(CLI_SURFACE)
 
 
 # Small valid documents for every subcommand that reads one, with its flags.

@@ -147,7 +147,7 @@ class TestConstraintTargets:
 class TestSolveTosg:
     def test_quadratic_fixture_hand_kkt(self):
         # stationarity -2 d_i + mult_i = 0 at d = targets gives mults (2, 4, 6)
-        solution = solve_tosg(quadratic_fixture(), tol=1e-10)
+        solution = solve_tosg(quadratic_fixture())
         assert solution.d_star == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
         assert solution.multipliers == pytest.approx((2.0, 4.0, 6.0), abs=1e-8)
         assert solution.stationarity_residual <= 1e-8
@@ -181,20 +181,10 @@ class TestSolveTosg:
 
     def test_converged_value_equals_objective(self):
         problem = quadratic_fixture()
-        solution = solve_tosg(problem, tol=1e-10)
+        solution = solve_tosg(problem)
         assert solution.tosg_value == pytest.approx(
             problem.objective.value(solution.d_star), abs=1e-8
         )
-
-    def test_perturbed_start_reaches_same_optimum(self):
-        problem = quadratic_fixture()
-        reference = solve_tosg(problem)
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            delta = rng.uniform(-1.0, 1.0, 3)
-            delta *= 0.1 / max(np.linalg.norm(delta), 1.0)
-            perturbed = solve_tosg(problem, start=reference.d_star + delta)
-            assert np.abs(perturbed.d_star - reference.d_star).max() <= 1e-6
 
     def test_unconstrained_direction_is_degenerate(self):
         problem = TosgProblem(
@@ -239,9 +229,39 @@ class TestSolveTosg:
         assert solution.d_star == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
         assert solution.multipliers == pytest.approx((4.0, 32.0, 108.0), abs=1e-7)
 
+    def test_cycling_newton_raises_convergence_error(self):
+        # The free coordinate's gradient sign(x - 1) * sqrt(|x - 1|) makes every
+        # Newton step jump from 0 to 2 and back, so the step budget runs out.
+        class Cusp:
+            dimension = 4
+
+            def value(self, d):
+                return 2.0 / 3.0 * abs(d[3] - 1.0) ** 1.5
+
+            def gradient(self, d):
+                g = np.zeros(4)
+                g[3] = np.sign(d[3] - 1.0) * np.sqrt(abs(d[3] - 1.0))
+                return g
+
+            def hessian(self, d):
+                h = np.zeros((4, 4))
+                h[3, 3] = 0.5 / np.sqrt(abs(d[3] - 1.0))
+                return h
+
+        problem = TosgProblem(
+            objective=Cusp(),
+            constraints=(
+                CoordinateConstraint(0),
+                CoordinateConstraint(1),
+                CoordinateConstraint(2),
+            ),
+            targets=(1.0, 2.0, 3.0),
+            dimension=4,
+        )
         with pytest.raises(ConvergenceError) as err:
-            solve_tosg(problem, max_iter=1)
-        assert err.value.residuals["stationarity_residual"] > 0.0
+            solve_tosg(problem)
+        assert err.value.residuals["stationarity_residual"] == pytest.approx(1.0)
+        assert err.value.residuals["feasibility_residual"] <= 1e-12
 
     def test_duplicate_constraints_are_degenerate(self):
         problem = TosgProblem(

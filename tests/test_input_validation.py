@@ -70,6 +70,8 @@ TOSG = {
         lambda: GameTree.from_dict({"kind": "max", "children": 5}),
         lambda: GameTree.from_dict({"kind": "chance", "children": [GameTree.leaf(1).to_dict()], "probs": 5}),
         lambda: DuelSpec.from_dict({**DUEL, "tie_rule": "sequential"}),
+        # an accuracy evaluated at NaN
+        lambda: AccuracyFunction.identity()(float("nan")),
     ],
 )
 def test_garbage_documents_raise_input_error(build):
