@@ -14,9 +14,9 @@ import numpy as np
 
 from . import __version__
 from .duel import DuelSpec, simulate_duel, solve_duel
-from .errors import InputError, SolverError, StageError, TosgError
+from .errors import InputError, StageError, TosgError
 from .game_tree import GameTree, evaluate_tree, solve_evasion_game
-from .matrix_game import PayoffMatrix, _field, solve_exact, solve_fictitious_play
+from .matrix_game import PayoffMatrix, _field, _json_text, solve_exact, solve_fictitious_play
 from .decision import TosgProblem, solve_tosg
 from .pipeline import ProtocolConfig, run_protocol
 from .risk import EconomicRiskParams, MitigatingRiskParams, risk_economic, risk_mitigating
@@ -45,12 +45,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(doc: dict, output: str | None) -> None:
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # Infinity and NaN are not JSON
-        raise SolverError("the result is not finite and cannot be written as JSON") from None
-    _emit(text + "\n", output)
+def _emit_json(result, output: str | None) -> None:
+    _emit(_json_text(result), output)
 
 
 def _density_csv(grid: np.ndarray, weights: np.ndarray) -> str:
@@ -67,7 +63,7 @@ def _cmd_solve_matrix(args) -> None:
         solution = solve_exact(game)
     else:
         solution = solve_fictitious_play(game, max_iterations=args.iterations)
-    _emit_json(solution.to_dict(), args.output)
+    _emit_json(solution, args.output)
 
 
 def _cmd_solve_duel(args) -> None:
@@ -77,7 +73,7 @@ def _cmd_solve_duel(args) -> None:
         grid = np.linspace(0.0, 1.0, solution.grid_n)
         _emit(_density_csv(grid, solution.p1_density.weights), args.output)
     else:
-        _emit_json(solution.to_dict(), args.output)
+        _emit_json(solution, args.output)
 
 
 def _cmd_simulate_duel(args) -> None:
@@ -101,7 +97,7 @@ def _cmd_eval_tree(args) -> None:
 
 
 def _cmd_solve_evasion(args) -> None:
-    _emit_json(solve_evasion_game().to_dict(), args.output)
+    _emit_json(solve_evasion_game(), args.output)
 
 
 def _cmd_solve_timing(args) -> None:
@@ -110,7 +106,7 @@ def _cmd_solve_timing(args) -> None:
     if args.format == "csv":
         _emit(_density_csv(kernel.grid, solution.strategy.weights), args.output)
     else:
-        _emit_json(solution.to_dict(), args.output)
+        _emit_json(solution, args.output)
 
 
 def _cmd_risk(args) -> None:
@@ -127,7 +123,7 @@ def _cmd_risk(args) -> None:
 
 def _cmd_solve_tosg(args) -> None:
     problem = TosgProblem.from_dict(_read_document(args.input))
-    _emit_json(solve_tosg(problem).to_dict(), args.output)
+    _emit_json(solve_tosg(problem), args.output)
 
 
 def _cmd_run_protocol(args) -> None:
@@ -137,7 +133,7 @@ def _cmd_run_protocol(args) -> None:
         grid = np.linspace(0.0, 1.0, config.grid_n)
         _emit(_density_csv(grid, report.timing.strategy.weights), args.output)
     else:
-        _emit(report.to_json(), args.output)
+        _emit_json(report, args.output)
 
 
 def _build_parser() -> argparse.ArgumentParser:

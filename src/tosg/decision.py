@@ -216,15 +216,6 @@ class TosgSolution:
     stationarity_residual: float
     feasibility_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "d_star": self.d_star.tolist(),
-            "multipliers": list(self.multipliers),
-            "tosg_value": self.tosg_value,
-            "stationarity_residual": self.stationarity_residual,
-            "feasibility_residual": self.feasibility_residual,
-        }
-
 
 def tosg_value(problem: TosgProblem, d, multipliers) -> float:
     """Objective plus multiplier-weighted constraint deviations from target."""

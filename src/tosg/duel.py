@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,8 +178,8 @@ class DuelSolution:
 
     For multi-shot players the density is the per-shot time marginal of the
     optimal mixture over sorted time subsets.  ``residual`` is the verified
-    saddle gap against the full discretized game; it is not part of the
-    serialized output.
+    saddle gap against the full discretized game; it is marked internal, so
+    the JSON document of a solution lists every field but this one.
     """
 
     value: float
@@ -188,17 +188,7 @@ class DuelSolution:
     support_p1: tuple[float, float]
     support_p2: tuple[float, float]
     grid_n: int
-    residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "p1_density": self.p1_density.to_dict(),
-            "p2_density": self.p2_density.to_dict(),
-            "support_p1": list(self.support_p1),
-            "support_p2": list(self.support_p2),
-            "grid_n": self.grid_n,
-        }
+    residual: float = field(metadata={"internal": True})
 
 
 def _volleys(spec: DuelSpec, x: TimeVector, y: TimeVector) -> list[tuple[float, float, float]]:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matrix_game import MixedStrategy, _as_float_array, _field
+from .matrix_game import MASS_TOL, MixedStrategy, _as_float_array, _field
 
 _NODE_KINDS = ("leaf", "max", "min", "chance")
-_PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class GameTree:
                 raise InputError("one probability per child required")
             if any(p < 0.0 for p in probs):
                 raise InputError("chance probabilities must be nonnegative")
-            if abs(sum(probs) - 1.0) > _PROB_TOL:
+            if abs(sum(probs) - 1.0) > MASS_TOL:
                 raise InputError("chance probabilities must sum to 1")
             object.__setattr__(self, "probs", probs)
         elif self.probs is not None:
@@ -117,14 +116,6 @@ class EvasionSolution:
     value: float
     marksman_position: int
     reach_probs: tuple[float, float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "x_star": self.x_star,
-            "value": self.value,
-            "marksman_position": self.marksman_position,
-            "reach_probs": list(self.reach_probs),
-        }
 
 
 def _check_unit(x: float) -> float:

@@ -8,13 +8,15 @@ never from solver-internal objectives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .errors import InputError, SolverError
 
+# Probabilities (strategy weights, chance-node probs) must sum to 1 within this.
 MASS_TOL = 1e-12
 # Strategy weights at or below this are dust: outside a reported support.
 DUST_TOL = 1e-6
@@ -56,6 +58,36 @@ def _field(doc, key: str, what: str, kind: type | None = None):
         expected = "an array" if kind is list else "an object"
         raise InputError(f"{what} field '{key}' must be {expected}")
     return value
+
+
+def _document(result):
+    """A result as its JSON document: a dataclass becomes its fields by name.
+
+    Arrays and tuples become lists and dicts are walked.  A dataclass field
+    holding None, or marked ``metadata={"internal": True}``, is left out.
+    """
+    if isinstance(result, MixedStrategy):
+        # Output schema 1 keeps the key; no solver places a separate atom at 0.
+        return {"weights": result.weights.tolist(), "atom_at_zero": 0.0}
+    if is_dataclass(result):
+        values = {f.name: getattr(result, f.name) for f in fields(result) if not f.metadata.get("internal")}
+        return {name: _document(value) for name, value in values.items() if value is not None}
+    if isinstance(result, np.ndarray):
+        return result.tolist()
+    if isinstance(result, (tuple, list)):
+        return [_document(item) for item in result]
+    if isinstance(result, dict):
+        return {key: _document(value) for key, value in result.items()}
+    return result
+
+
+def _json_text(result) -> str:
+    """The indented, key-sorted JSON text of ``_document(result)``."""
+    try:
+        text = json.dumps(_document(result), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # Infinity and NaN are not JSON
+        raise SolverError("the result is not finite and cannot be written as JSON") from None
+    return text + "\n"
 
 
 def _time_table(points, name: str) -> tuple[tuple[float, float], ...]:
@@ -135,10 +167,6 @@ class MixedStrategy:
     def uniform(cls, size: int) -> "MixedStrategy":
         return cls(np.full(size, 1.0 / size))
 
-    def to_dict(self) -> dict:
-        # Output schema 1 keeps the key; no solver places a separate atom at 0.
-        return {"weights": self.weights.tolist(), "atom_at_zero": 0.0}
-
 
 @dataclass(frozen=True)
 class GameSolution:
@@ -158,18 +186,6 @@ class GameSolution:
     @property
     def upper(self) -> float:
         return self.value + 0.5 * self.residual
-
-    def to_dict(self) -> dict:
-        doc = {
-            "value": self.value,
-            "row_strategy": self.row_strategy.to_dict(),
-            "col_strategy": self.col_strategy.to_dict(),
-            "residual": self.residual,
-            "method": self.method,
-        }
-        if self.iterations is not None:
-            doc["iterations"] = self.iterations
-        return doc
 
 
 def _check_dims(game: PayoffMatrix, sigma: MixedStrategy, tau: MixedStrategy) -> None:

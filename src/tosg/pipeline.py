@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .decision import (
     tosg_value,
 )
 from .errors import InputError, StageError
-from .matrix_game import _as_float_array, _as_int, _field, _time_table
+from .matrix_game import _as_float_array, _as_int, _document, _field, _json_text, _time_table
 from .risk import MitigatingRiskParams, risk_mitigating
 from .timing import (
     TimingKernel,
@@ -128,7 +129,7 @@ class ProtocolConfig:
 
     def to_dict(self) -> dict:
         return {
-            "risks": {key: self.risks[key].to_dict() for key in CONSTRAINT_KEYS},
+            "risks": {key: _document(self.risks[key]) for key in CONSTRAINT_KEYS},
             "baselines": list(self.baselines),
             "objective": self.objective.to_dict(),
             "constraints": [c.to_dict() for c in self.constraints],
@@ -156,20 +157,8 @@ class ProtocolReport:
     decision_score: float
     provenance: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "risk_scores": dict(self.risk_scores),
-            "targets": list(self.targets),
-            "tosg": self.tosg.to_dict(),
-            "kernel_summary": dict(self.kernel_summary),
-            "timing": self.timing.to_dict(),
-            "optimal_timing_interval": list(self.optimal_timing_interval),
-            "decision_score": self.decision_score,
-            "provenance": dict(self.provenance),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self)
 
 
 def _decision_path_scores(
@@ -182,6 +171,15 @@ def _decision_path_scores(
     return (raw - lo) / (hi - lo)
 
 
+@contextmanager
+def _stage(name: str, partial: dict):
+    """Re-raise a failure inside the block as StageError(name, copy of partial)."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, dict(partial), exc) from exc
+
+
 def run_protocol(config: ProtocolConfig) -> ProtocolReport:
     """Execute the staged flow; deterministic for a fixed config.
 
@@ -189,68 +187,47 @@ def run_protocol(config: ProtocolConfig) -> ProtocolReport:
     completed stage's partial results.
     """
     partial: dict = {}
+    with _stage("risk", partial):
+        partial["risk_scores"] = risk_scores = {
+            key: risk_mitigating(config.risks[key]) for key in CONSTRAINT_KEYS
+        }
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise StageError(name, dict(partial), exc) from exc
-
-    def stage_risk():
-        return {key: risk_mitigating(config.risks[key]) for key in CONSTRAINT_KEYS}
-
-    risk_scores = stage("risk", stage_risk)
-    partial["risk_scores"] = risk_scores
-
-    def stage_targets():
-        return constraint_targets_from_risk(
+    with _stage("targets", partial):
+        partial["targets"] = targets = constraint_targets_from_risk(
             config.risks["pti"], config.risks["tm"], config.risks["gaa"], config.baselines
         )
 
-    targets = stage("targets", stage_targets)
-    partial["targets"] = targets
-
-    def stage_decision():
+    with _stage("decision", partial):
         problem = TosgProblem(
             objective=config.objective,
             constraints=config.constraints,
             targets=targets,
             dimension=config.dimension,
         )
-        return problem, solve_tosg(problem)
+        partial["tosg"] = tosg_solution = solve_tosg(problem)
 
-    problem, tosg_solution = stage("decision", stage_decision)
-    partial["tosg"] = tosg_solution
+    with _stage("kernel", partial):
+        base_kernel = build_kernel(kernel_fn_from_spec(config.kernel_a), config.grid_n)
 
-    def stage_kernel():
-        return build_kernel(kernel_fn_from_spec(config.kernel_a), config.grid_n)
-
-    base_kernel = stage("kernel", stage_kernel)
-
-    def stage_score():
-        if config.score_table is not None:
-            ts, vs = zip(*config.score_table)
-            return np.interp(base_kernel.grid, ts, vs)
-        return _decision_path_scores(problem, tosg_solution, base_kernel.grid)
-
-    scores = stage("score", stage_score)
+    with _stage("score", partial):
+        if config.score_table is None:
+            scores = _decision_path_scores(problem, tosg_solution, base_kernel.grid)
+        else:
+            scores = np.interp(base_kernel.grid, *zip(*config.score_table))
     partial["score"] = scores
 
-    def stage_imbed():
-        return imbed_objective(base_kernel, scores, config.imbed_weight)
-
-    imbedded = stage("imbed", stage_imbed)
-    kernel_summary = {
+    with _stage("imbed", partial):
+        imbedded = imbed_objective(base_kernel, scores, config.imbed_weight)
+    partial["kernel_summary"] = kernel_summary = {
         "kind": config.kernel_a.get("kind"),
         "grid_n": config.grid_n,
         "lambda": config.imbed_weight,
         "skew_symmetric": True,  # TimingKernel.matrix is built as U - U.T
         "max_abs_entry": float(np.abs(imbedded.matrix).max()),
     }
-    partial["kernel_summary"] = kernel_summary
 
-    timing_solution = stage("timing", lambda: solve_timing(imbedded))
-    partial["timing"] = timing_solution
+    with _stage("timing", partial):
+        partial["timing"] = timing_solution = solve_timing(imbedded)
 
     return ProtocolReport(
         risk_scores=risk_scores,

@@ -61,9 +61,6 @@ class MitigatingRiskParams:
         pi, pn, ce = (_field(doc, key, what) for key in ("pi", "pn", "ce"))
         return cls(pi=pi, pn=pn, ce=ce, pa=doc.get("pa", 1.0))
 
-    def to_dict(self) -> dict:
-        return {"pa": self.pa, "pi": self.pi, "pn": self.pn, "ce": self.ce}
-
 
 def risk_economic(params: EconomicRiskParams) -> float:
     """Threat rate times vulnerability times cost."""

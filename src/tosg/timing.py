@@ -214,16 +214,6 @@ class TimingSolution:
     residual_eq11: float
     residual_eq12: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "strategy": self.strategy.to_dict(),
-            "support_lo": self.support_lo,
-            "has_zero_atom": self.has_zero_atom,
-            "residual_eq11": self.residual_eq11,
-            "residual_eq12": self.residual_eq12,
-        }
-
 
 def verify_optimality(kernel: TimingKernel, strategy: MixedStrategy) -> tuple[float, float]:
     """Residuals of the two optimality conditions for a candidate strategy F.

@@ -65,6 +65,7 @@ class TestSolveMatrix:
         code, out, _ = run(capsys, "solve-matrix", path)
         assert code == 0
         doc = json.loads(out)
+        assert set(doc) == {"value", "row_strategy", "col_strategy", "residual", "method"}
         assert doc["value"] == pytest.approx(1.5)
         assert doc["method"] == "exact"
 
@@ -85,6 +86,7 @@ class TestSolveMatrix:
         )
         assert code == 0
         doc = json.loads(out)
+        assert set(doc) == {"value", "row_strategy", "col_strategy", "residual", "method", "iterations"}
         assert doc["method"] == "fictitious_play"
         assert abs(doc["value"]) <= 0.05
 
@@ -159,6 +161,8 @@ class TestSolveDuelCommand:
         code, out, _ = run(capsys, "solve-duel", path, "--grid", "41")
         assert code == 0
         doc = json.loads(out)
+        # The verified gap of solve_duel stays internal: no "residual" key.
+        assert set(doc) == {"value", "p1_density", "p2_density", "support_p1", "support_p2", "grid_n"}
         assert abs(doc["value"]) <= 1e-9
         assert doc["support_p1"][0] == pytest.approx(1 / 3, abs=0.05)
         # Output schema 1 keeps the key; no solver places a separate atom at 0.
@@ -315,6 +319,59 @@ class TestRunProtocol:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "stage 'decision'" in err
+
+
+# The README's example documents; MATRIX above is its payoff matrix.
+README_DUEL = {"m": 2, "n": 6, "p": {"kind": "identity"}, "q": {"kind": "power", "k": 2}}
+README_TREE = {
+    "kind": "min",
+    "children": [
+        {"kind": "max", "children": [{"kind": "leaf", "payoff": 1.0},
+                                     {"kind": "leaf", "payoff": 3.0}]},
+        {"kind": "chance", "probs": [0.5, 0.5],
+         "children": [{"kind": "leaf", "payoff": 4.0}, {"kind": "leaf", "payoff": 0.0}]},
+    ],
+}
+README_RISK = {
+    "economic": {"threat_rate": 2.0, "vulnerability": 0.5, "cost": 10.0},
+    "mitigating": {"pa": 1.0, "pi": 0.8, "pn": 0.9, "ce": 100.0},
+}
+SKEW_GAME = {"entries": [[0.0, -1.0, 2.0], [1.0, 0.0, -3.0], [-2.0, 3.0, 0.0]]}
+DUEL_2V3 = {**README_DUEL, "n": 3}
+AFFINE_KERNEL = {"A": {"kind": "affine", "cx": 1.0, "cy": -1.0, "cxy": 1.0, "c0": 0.0}, "grid_n": 51}
+
+# File under data/cli holding the exact stdout -> (subcommand and flags, input document).
+PINNED_OUTPUTS = {
+    "solve-matrix-exact.json": (["solve-matrix"], MATRIX),
+    "solve-matrix-skew.json": (["solve-matrix"], SKEW_GAME),
+    "solve-matrix-fictitious-play.json": (
+        ["solve-matrix", "--method", "fictitious-play", "--iterations", "5000"], SKEW_GAME
+    ),
+    "solve-duel-2v3.json": (["solve-duel", "--grid", "15"], DUEL_2V3),
+    "solve-duel-2v3.csv": (["solve-duel", "--grid", "15", "--format", "csv"], DUEL_2V3),
+    "solve-duel-1v1.json": (["solve-duel", "--grid", "41"], DUEL_1V1),
+    "simulate-duel.json": (
+        ["simulate-duel", "--seed", "7"], {**README_DUEL, "x": [0.4, 0.8], "y": [0.1, 0.3, 0.5, 0.6, 0.7, 0.9]}
+    ),
+    "eval-tree.json": (["eval-tree"], README_TREE),
+    "solve-evasion.json": (["solve-evasion"], None),
+    "solve-timing-duel.json": (["solve-timing"], {"A": {"kind": "duel"}, "grid_n": 101}),
+    "solve-timing-affine.csv": (["solve-timing", "--format", "csv"], AFFINE_KERNEL),
+    "risk.json": (["risk"], README_RISK),
+    "solve-tosg.json": (["solve-tosg"], TOSG),
+    "run-protocol.csv": (["run-protocol", "--format", "csv"], GOLDEN_CONFIG),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_output_bytes(self, tmp_path, capsys, name):
+        (command, *flags), document = PINNED_OUTPUTS[name]
+        if document is not None:
+            flags.insert(0, write(tmp_path, "doc.json", document))
+        code, out, err = run(capsys, command, *flags)
+        assert code == 0, err
+        assert out.encode("utf-8") == (DATA / "cli" / name).read_bytes()
 
 
 class TestCliContract:

@@ -1,11 +1,12 @@
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tosg.errors import InputError, StageError
+from tosg.errors import InputError, SolverError, StageError
 from tosg.pipeline import ProtocolConfig, imbed_objective, run_protocol
 from tosg.timing import build_kernel, duel_kernel_fn, solve_timing
 
@@ -109,6 +110,11 @@ class TestRunProtocol:
     def test_matches_golden_report(self):
         report = run_protocol(ProtocolConfig.from_dict(GOLDEN_CONFIG))
         assert json.loads(report.to_json()) == GOLDEN_REPORT
+
+    def test_non_finite_report_is_refused(self):
+        report = run_protocol(ProtocolConfig.from_dict({**GOLDEN_CONFIG, "grid_n": 11}))
+        with pytest.raises(SolverError, match="not finite"):
+            replace(report, decision_score=float("nan")).to_json()
 
     def test_golden_stage_values_recomputed_independently(self):
         report = run_protocol(ProtocolConfig.from_dict(GOLDEN_CONFIG))
