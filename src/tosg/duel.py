@@ -23,6 +23,7 @@ from .matrix_game import (
     _as_float_array,
     _as_int,
     _field,
+    _GrowingGame,
     _time_table,
     solve_exact,
 )
@@ -402,6 +403,11 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     stops once upper - lower <= SADDLE_TOL; value is their midpoint and residual
     their gap, so the saddle contract holds against the full game.
 
+    The restricted game and both players' subset profiles persist across
+    rounds: a new subset adds one profile row and one row or column of
+    payoffs to a _GrowingGame, whose LP re-solves warm from its last basis.
+    A round that model cannot certify is solved by solve_exact instead.
+
     A one-shot player starts with every grid point, so a 1-vs-1 duel is one
     round on the full matrix; a multi-shot player starts from its latest
     firing times.  The pair cap MAX_STRATEGY_PAIRS bounds the best-response
@@ -417,11 +423,14 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     _guard_restricted(*(grid_n if k == 1 else 1 for k in (spec.m, spec.n)), grid_n)
     grid, p_hit, q_hit = _hits(spec, grid_n)
     rows, cols = _seed_subsets(grid_n, spec.m), _seed_subsets(grid_n, spec.n)
+    row_alive, row_fire = _profiles(np.array(rows), p_hit, grid_n)
+    col_alive, col_fire = _profiles(np.array(cols), q_hit, grid_n)
+    model = _GrowingGame(row_fire @ col_alive.T - row_alive @ col_fire.T)
     while True:
-        row_alive, row_fire = _profiles(np.array(rows), p_hit, grid_n)
-        col_alive, col_fire = _profiles(np.array(cols), q_hit, grid_n)
-        game = PayoffMatrix(row_fire @ col_alive.T - row_alive @ col_fire.T)
-        restricted = solve_exact(game)
+        try:
+            restricted = model.solve()
+        except SolverError:
+            restricted = solve_exact(PayoffMatrix(model.entries))
         sigma = restricted.row_strategy.weights
         tau = restricted.col_strategy.weights
         col_gain, col_best = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
@@ -436,8 +445,14 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
         _guard_restricted(len(rows) + new_row, len(cols) + new_col, grid_n)
         if new_row:
             rows.append(row_best)
+            alive, fire = _profiles(np.array([row_best]), p_hit, grid_n)
+            model.add_row(fire[0] @ col_alive.T - alive[0] @ col_fire.T)
+            row_alive, row_fire = np.vstack([row_alive, alive]), np.vstack([row_fire, fire])
         if new_col:
             cols.append(col_best)
+            alive, fire = _profiles(np.array([col_best]), q_hit, grid_n)
+            model.add_col(row_fire @ alive[0] - row_alive @ fire[0])
+            col_alive, col_fire = np.vstack([col_alive, alive]), np.vstack([col_fire, fire])
 
     p1 = _time_marginal(sigma, np.array(rows), grid_n, spec.m)
     p2 = _time_marginal(tau, np.array(cols), grid_n, spec.n)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.sparse import csc_array
 
 from .errors import InputError, SolverError
 
@@ -208,19 +210,45 @@ def saddle_bounds(game: PayoffMatrix) -> tuple[float, float]:
     return maximin, minimax
 
 
-def _verified_bounds(game: PayoffMatrix, sigma: np.ndarray, tau: np.ndarray) -> tuple[float, float]:
-    # What the column player can hold sigma to, and the row player can get off tau.
-    lower = float((sigma @ game.entries).min())
-    upper = float((game.entries @ tau).max())
-    return lower, upper
-
-
 def _normalized(x: np.ndarray) -> np.ndarray:
     x = np.maximum(x, 0.0)
     total = x.sum()
     if total <= 0.0:
         raise SolverError("linear program returned a zero strategy vector")
     return x / total
+
+
+def _verified_solution(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> GameSolution:
+    """The exact solution certified by the row LP's primal x and column-row duals.
+
+    sigma is x normalized and tau the negated duals normalized.  The value
+    is the midpoint of what the column player can hold sigma to and what
+    the row player can get off tau, and the residual is their gap.  A
+    skew-symmetric game (A = -A^T) has value 0 and one optimal strategy for
+    both players, so both get whichever of sigma and tau guarantees more;
+    the gap is then twice that one's shortfall.  A gap above SADDLE_TOL
+    raises SolverError.
+    """
+    sigma = _normalized(x)
+    # HiGHS reports the duals of <= rows as nonpositive; negated they are tau*.
+    tau = _normalized(-duals)
+    m, n = a.shape
+    if m == n and np.array_equal(a, -a.T):
+        if (tau @ a).min() > (sigma @ a).min():
+            sigma = tau
+        tau = sigma
+    lower = float((sigma @ a).min())
+    upper = float((a @ tau).max())
+    gap = max(upper - lower, 0.0)
+    if gap > SADDLE_TOL:
+        raise SolverError(f"saddle gap {gap:.3e} exceeds tol {SADDLE_TOL:.3e}")
+    return GameSolution(
+        value=0.5 * (lower + upper),
+        row_strategy=MixedStrategy(sigma),
+        col_strategy=MixedStrategy(tau),
+        residual=gap,
+        method="exact",
+    )
 
 
 def solve_exact(game: PayoffMatrix) -> GameSolution:
@@ -234,10 +262,8 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
         payoff(sigma*, any pure column) >= value - residual
         payoff(any pure row, tau*) <= value + residual
 
-    holds by construction.  A skew-symmetric game (A = -A^T) has value 0 and
-    one optimal strategy for both players, so both get whichever of sigma
-    and tau guarantees more; the gap is then twice that one's shortfall.  A
-    verified gap above SADDLE_TOL raises SolverError.
+    holds by construction; _verified_solution states the skew-symmetric rule
+    and raises SolverError on a gap above SADDLE_TOL.
     """
     a = game.entries
     m, n = a.shape
@@ -256,25 +282,114 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
     )
     if row.status != 0:
         raise SolverError(f"row LP failed: {row.message}")
+    return _verified_solution(a, row.x[:m], row.ineqlin.marginals)
 
-    sigma = _normalized(row.x[:m])
-    # HiGHS reports the duals of <= rows as nonpositive; negated they are tau*.
-    tau = _normalized(-row.ineqlin.marginals)
-    if m == n and np.array_equal(a, -a.T):
-        if (tau @ a).min() > (sigma @ a).min():
-            sigma = tau
-        tau = sigma
-    lower, upper = _verified_bounds(game, sigma, tau)
-    gap = max(upper - lower, 0.0)
-    if gap > SADDLE_TOL:
-        raise SolverError(f"saddle gap {gap:.3e} exceeds tol {SADDLE_TOL:.3e}")
-    return GameSolution(
-        value=0.5 * (lower + upper),
-        row_strategy=MixedStrategy(sigma),
-        col_strategy=MixedStrategy(tau),
-        residual=gap,
-        method="exact",
-    )
+
+class _GrowingGame:
+    """solve_exact's row LP held in one HiGHS model that grows with the game.
+
+    The model has solve_exact's layout and options but one: HiGHS drops
+    matrix entries at or below ``small_matrix_value``, 1e-9 by default,
+    which leaves a game of such entries short of the saddle contract, so
+    the model keeps every entry above 1e-12, the least HiGHS accepts.  On
+    a game with no entry of magnitude in (1e-12, 1e-9] the first solve
+    matches solve_exact bit for bit.  A new game row is a new LP column and
+    a new game column a new ``<= 0`` LP row; HiGHS keeps its basis across
+    the changes, so each later solve is a warm-started dual simplex.  Every
+    solve is certified by _verified_solution against the grown matrix.
+    This drives HiGHS through scipy's private ``_highspy`` binding, whose
+    methods scipy may change between minor releases (pyproject pins it).
+    """
+
+    def __init__(self, entries: np.ndarray):
+        self._highs = _highs._Highs()
+        options = {
+            "presolve": "on",
+            "simplex_strategy": _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+            "output_flag": False,
+            "log_to_console": False,
+            "small_matrix_value": 1e-12,
+            **_LP_OPTIONS,
+        }
+        for key, value in options.items():
+            self._highs.setOptionValue(key, value)
+        self._load(np.array(entries, dtype=float))
+
+    def _load(self, a: np.ndarray) -> None:
+        """Replace the model, basis included, by the row LP of game ``a``."""
+        m, n = a.shape
+        self.entries = a
+        # As linprog builds it: one <= 0 row per game column, then sum(sigma) = 1.
+        matrix = csc_array(
+            np.vstack([np.column_stack([-a.T, np.ones(n)]), np.concatenate([np.ones(m), [0.0]])])
+        )
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = m + 1
+        lp.num_row_ = lp.a_matrix_.num_row_ = n + 1
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        lp.col_cost_ = np.concatenate([np.zeros(m), [-1.0]])
+        lp.col_lower_ = np.concatenate([np.zeros(m), [-np.inf]])
+        lp.col_upper_ = np.full(m + 1, np.inf)
+        lp.row_lower_ = np.concatenate([np.full(n, -np.inf), [1.0]])
+        lp.row_upper_ = np.concatenate([np.zeros(n), [1.0]])
+        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS refused the game's row LP")
+        # LP column of each game row's weight, and LP row of each game column.
+        self._sigma_cols = list(range(m))
+        self._column_rows = list(range(n))
+        self._v_col, self._sum_row = m, n
+
+    def add_row(self, payoffs: np.ndarray) -> None:
+        """Append a game row: its payoff against every current column."""
+        payoffs = np.asarray(payoffs, dtype=float)
+        self.entries = np.vstack([self.entries, payoffs])
+        nonzero = payoffs != 0.0
+        rows = np.append(np.array(self._column_rows)[nonzero], self._sum_row)
+        values = np.append(-payoffs[nonzero], 1.0)
+        self._sigma_cols.append(self._highs.getNumCol())
+        self._add(self._highs.addCol(0.0, 0.0, np.inf, len(rows), rows.astype(np.int32), values))
+
+    def add_col(self, payoffs: np.ndarray) -> None:
+        """Append a game column: every current row's payoff against it."""
+        payoffs = np.asarray(payoffs, dtype=float)
+        self.entries = np.column_stack([self.entries, payoffs])
+        nonzero = payoffs != 0.0
+        cols = np.append(np.array(self._sigma_cols)[nonzero], self._v_col)
+        values = np.append(-payoffs[nonzero], 1.0)
+        self._column_rows.append(self._highs.getNumRow())
+        self._add(self._highs.addRow(-np.inf, 0.0, len(cols), cols.astype(np.int32), values))
+
+    @staticmethod
+    def _add(status) -> None:
+        if status == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS refused a new row or column of the game")
+
+    def solve(self) -> GameSolution:
+        """Re-solve from the last basis, and once from a new model if that is not certified.
+
+        A warm-started solve can end short of SADDLE_TOL where a cold one
+        of the same game does not, and a cold one depends on the order of
+        the LP's columns, so the retry reloads the game in solve_exact's
+        layout.  SolverError if neither solve is optimal and certified.
+        """
+        try:
+            return self._solve()
+        except SolverError:
+            self._load(self.entries)
+            return self._solve()
+
+    def _solve(self) -> GameSolution:
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise SolverError(f"row LP failed: {self._highs.modelStatusToString(status)}")
+        solution = self._highs.getSolution()
+        x = np.asarray(solution.col_value)[self._sigma_cols]
+        duals = np.asarray(solution.row_dual)[self._column_rows]
+        return _verified_solution(self.entries, x, duals)
 
 
 def solve_fictitious_play(

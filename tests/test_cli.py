@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import random
 import re
 import shlex
 import sys
@@ -110,6 +111,16 @@ class TestSolveMatrix:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_entries_past_the_float64_floor_are_exit_one_with_one_line(self, tmp_path, capsys):
+        # At entries of order 1e8 the rounding of sigma^T A alone is about 1e-7,
+        # so no float64 solve certifies a gap of SADDLE_TOL = 1e-9.
+        rng = random.Random(0)
+        game = {"entries": [[rng.uniform(-1e8, 1e8) for _ in range(50)] for _ in range(40)]}
+        code, out, err = run(capsys, "solve-matrix", write(tmp_path, "game.json", game))
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: saddle gap \S+ exceeds tol 1\.000e-09\n", err)
 
 
 class TestSimulateDuel:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tosg.duel
+import tosg.matrix_game
 from tosg.duel import (
     AccuracyFunction,
     DuelSpec,
@@ -21,7 +22,7 @@ from tosg.duel import (
     solve_duel,
 )
 from tosg.errors import InputError, ResourceLimitError, SolverError
-from tosg.matrix_game import solve_exact
+from tosg.matrix_game import _verified_solution, solve_exact
 
 IDENT = AccuracyFunction.identity()
 ONE_SHOT = DuelSpec(1, 1, IDENT, IDENT)
@@ -352,6 +353,25 @@ class TestSolveDuel:
         monkeypatch.setattr(tosg.duel, "_best_response", lambda *args: (1.0, (7, 8)))
         with pytest.raises(SolverError):
             solve_duel(DuelSpec(2, 2, IDENT, IDENT), 9)
+
+    def test_failed_warm_solve_falls_back_to_solve_exact(self, monkeypatch):
+        # Uniform strategies fail the gap check on most restricted games.
+        def uniform_solve(model):
+            rows, cols = model.entries.shape
+            return _verified_solution(model.entries, np.ones(rows), -np.ones(cols))
+
+        fallbacks = []
+
+        def counted_solve_exact(game):
+            fallbacks.append(game.entries.shape)
+            return solve_exact(game)
+
+        monkeypatch.setattr(tosg.matrix_game._GrowingGame, "solve", uniform_solve)
+        monkeypatch.setattr(tosg.duel, "solve_exact", counted_solve_exact)
+        solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
+        assert fallbacks
+        assert abs(solution.value - -0.47292884098749355) <= 1e-9
+        assert solution.residual <= 1e-9
 
     def test_grid_refinement_differences_shrink(self):
         values = [solve_duel(ONE_SHOT, n).value for n in (11, 21, 41, 81)]

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tosg.errors import InputError
+from tosg.errors import InputError, SolverError
 from tosg.matrix_game import (
+    SADDLE_TOL,
     GameSolution,
     MixedStrategy,
     PayoffMatrix,
+    _GrowingGame,
     expected_payoff,
     saddle_bounds,
     solve_exact,
@@ -52,6 +54,38 @@ def skew_game(size: int, exponent: float, seed: int, integral: bool) -> np.ndarr
 skew_strategy = st.builds(
     skew_game, st.integers(2, 60), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1), st.booleans()
 )
+
+
+entry = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grown_games(draw):
+    """A seed game and the ("row" | "col", payoffs) steps that grow it.
+
+    A skew draw appends each new row together with its mirrored column, so
+    the game is square and skew-symmetric again after every second step.
+    """
+    steps = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 6))
+        upper = np.triu(draw(arrays(np.float64, (size, size), elements=entry)), k=1)
+        growth = []
+        for size in range(size, size + steps):
+            payoffs = draw(arrays(np.float64, size, elements=entry))
+            growth += [("row", payoffs), ("col", -np.append(payoffs, 0.0))]
+        return upper - upper.T, growth
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    seed = draw(arrays(np.float64, (m, n), elements=entry))
+    growth = []
+    for _ in range(steps):
+        if draw(st.booleans()):
+            growth.append(("row", draw(arrays(np.float64, n, elements=entry))))
+            m += 1
+        else:
+            growth.append(("col", draw(arrays(np.float64, m, elements=entry))))
+            n += 1
+    return seed, growth
 
 
 def saddle_violation(game: PayoffMatrix, solution: GameSolution) -> float:
@@ -205,6 +239,56 @@ class TestSolveExact:
             method="exact",
         )
         assert saddle_violation(transformed, carried) <= a * 1e-8 + 1e-8
+
+
+class TestGrowingGame:
+    def test_private_highs_api_is_present(self):
+        # _GrowingGame drives scipy's private HiGHS binding, which may change
+        # between scipy minor releases; pyproject pins the series this matches.
+        from scipy.optimize._highspy._core import _Highs
+
+        methods = (
+            "setOptionValue", "passModel", "addCol", "addRow", "getNumCol", "getNumRow",
+            "run", "getModelStatus", "modelStatusToString", "getSolution",
+        )
+        for method in methods:
+            assert callable(getattr(_Highs, method, None)), method
+        highs = _GrowingGame(np.array([[1.0]]))._highs
+        assert highs.getOptionValue("presolve")[1] == "on"
+        assert highs.getOptionValue("simplex_strategy")[1] == 1  # dual simplex
+        assert highs.getOptionValue("output_flag")[1] is False
+        assert highs.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
+        assert highs.getOptionValue("dual_feasibility_tolerance")[1] == 1e-10
+        assert highs.getOptionValue("small_matrix_value")[1] == 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(grown_games())
+    def test_matches_solve_exact_at_every_step(self, case):
+        entries, growth = case
+        model = _GrowingGame(entries)
+        for step, (kind, payoffs) in enumerate([(None, None)] + growth):
+            if kind == "row":
+                model.add_row(payoffs)
+                entries = np.vstack([entries, payoffs])
+            elif kind == "col":
+                model.add_col(payoffs)
+                entries = np.column_stack([entries, payoffs])
+            game = PayoffMatrix(entries)
+            solution = model.solve()
+            assert solution.residual <= SADDLE_TOL
+            assert saddle_violation(game, solution) <= SADDLE_TOL
+            # solve_exact's LP drops entries of magnitude up to 1e-9, the model's only up to 1e-12.
+            tiny = np.any((np.abs(entries) > 0.0) & (np.abs(entries) <= 1e-9))
+            try:
+                exact = solve_exact(game)
+            except SolverError:
+                assert tiny
+                continue
+            assert abs(solution.value - exact.value) <= 1e-9
+            if step == 0 and not tiny:
+                assert (solution.value, solution.residual) == (exact.value, exact.residual)
+                assert np.array_equal(solution.row_strategy.weights, exact.row_strategy.weights)
+                assert np.array_equal(solution.col_strategy.weights, exact.col_strategy.weights)
 
 
 class TestFictitiousPlay:
