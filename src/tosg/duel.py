@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError, SolverError
+from .errors import InputError, SolverError
 from .matrix_game import (
     DUST_TOL,
     SADDLE_TOL,
@@ -25,29 +25,14 @@ from .matrix_game import (
     _field,
     _GrowingGame,
     _time_table,
-    solve_exact,
+    guard_cells,
 )
+# Called nowhere: kept only for perfbench/spans.py's WRAPS; ROADMAP item 2 removes it.
+from .matrix_game import solve_exact
 
-# Admits the 21-point grid with 2-vs-6 attempts (11,395,440 pure pairs) in
-# discretize_duel; solve_duel holds its best-response tables, restricted
-# games and profile arrays to the same size, and timing.build_kernel its
-# grid_n**2 kernel cells.
-MAX_STRATEGY_PAIRS = 12_000_000
 # The one tie rule implemented; see the module docstring.
 TIE_RULE = "simultaneous-independent"
 _SIM_CHUNK = 1 << 14
-
-
-def guard_cells(cells: int, what: str) -> None:
-    """Refuse ``what`` when its arrays need more than MAX_STRATEGY_PAIRS cells.
-
-    Callers count the cells before allocating anything of that size.
-    """
-    if cells > MAX_STRATEGY_PAIRS:
-        raise ResourceLimitError(
-            f"{what} needs {cells} cells, over the cap of {MAX_STRATEGY_PAIRS} "
-            "strategy pairs; use a smaller grid"
-        )
 
 
 @dataclass(frozen=True)
@@ -405,12 +390,12 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
 
     The restricted game and both players' subset profiles persist across
     rounds: a new subset adds one profile row and one row or column of
-    payoffs to a _GrowingGame, whose LP re-solves warm from its last basis.
-    A round that model cannot certify is solved by solve_exact instead.
+    payoffs to a _GrowingGame, whose LP re-solves warm from its last basis;
+    a warm solve it cannot certify is solved once more on a reloaded model.
 
     A one-shot player starts with every grid point, so a 1-vs-1 duel is one
     round on the full matrix; a multi-shot player starts from its latest
-    firing times.  The pair cap MAX_STRATEGY_PAIRS bounds the best-response
+    firing times.  The size cap (guard_cells) bounds the best-response
     tables (grid_n * (shots + 1)) and every restricted game and profile,
     checked before allocation; 2-vs-6 attempts solve well past grid 21.
     """
@@ -427,10 +412,7 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     col_alive, col_fire = _profiles(np.array(cols), q_hit, grid_n)
     model = _GrowingGame(row_fire @ col_alive.T - row_alive @ col_fire.T)
     while True:
-        try:
-            restricted = model.solve()
-        except SolverError:
-            restricted = solve_exact(PayoffMatrix(model.entries))
+        restricted = model.solve()
         sigma = restricted.row_strategy.weights
         tau = restricted.col_strategy.weights
         col_gain, col_best = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)

@@ -1,9 +1,9 @@
 """Finite zero-sum two-person matrix games.
 
 The row player maximizes, the column player minimizes.  Games are solved
-either exactly (linear programming) or iteratively (fictitious play); both
-solvers report a verified saddle gap computed from the returned strategies,
-never from solver-internal objectives.
+either exactly (one HiGHS linear program, held in a _GrowingGame) or
+iteratively (fictitious play); both solvers report a verified saddle gap
+computed from the returned strategies, never from solver-internal objectives.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
+# Called nowhere: kept only for perfbench/spans.py's WRAPS; ROADMAP item 2 removes it.
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 from scipy.sparse import csc_array
 
-from .errors import InputError, SolverError
+from .errors import InputError, ResourceLimitError, SolverError
 
 # Probabilities (strategy weights, chance-node probs) must sum to 1 within this.
 MASS_TOL = 1e-12
@@ -24,10 +25,24 @@ MASS_TOL = 1e-12
 DUST_TOL = 1e-6
 # The verified saddle gap every exact solve must reach.
 SADDLE_TOL = 1e-9
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+# The most cells any one large array may hold (96 MB of float64): the full
+# duel matrix of discretize_duel (a 21-point grid at 2-vs-6 attempts has
+# 11,395,440 pure pairs), solve_duel's best-response tables and its
+# restricted games and subset profiles, and the grid_n**2 timing kernel
+# (grids up to 3,464 points).
+MAX_STRATEGY_PAIRS = 12_000_000
+
+
+def guard_cells(cells: int, what: str) -> None:
+    """Refuse ``what`` when its arrays need more than MAX_STRATEGY_PAIRS cells.
+
+    Callers count the cells before allocating anything of that size.
+    """
+    if cells > MAX_STRATEGY_PAIRS:
+        raise ResourceLimitError(
+            f"{what} needs {cells} cells, over the cap of {MAX_STRATEGY_PAIRS} "
+            "strategy pairs; use a smaller grid"
+        )
 
 
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
@@ -254,51 +269,35 @@ def _verified_solution(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> GameS
 def solve_exact(game: PayoffMatrix) -> GameSolution:
     """Solve the game by linear programming.
 
-    One HiGHS program maximizes v subject to sigma^T A >= v per column; the
-    column strategy is read from the duals of those column constraints.  The
-    reported value is the midpoint of the verified security levels of the two
-    returned strategies and the residual is their gap, so the saddle contract
+    One cold solve of a fresh _GrowingGame: its HiGHS program maximizes v
+    subject to sigma^T A >= v per column, and the column strategy is read
+    from the duals of those column constraints.  The reported value is the
+    midpoint of the verified security levels of the two returned strategies
+    and the residual is their gap, so the saddle contract
 
         payoff(sigma*, any pure column) >= value - residual
         payoff(any pure row, tau*) <= value + residual
 
     holds by construction; _verified_solution states the skew-symmetric rule
-    and raises SolverError on a gap above SADDLE_TOL.
+    and raises SolverError on a gap above SADDLE_TOL.  The solve is not
+    retried: a reload would solve the same LP again.
     """
-    a = game.entries
-    m, n = a.shape
-
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    row = linprog(
-        c,
-        A_ub=np.column_stack([-a.T, np.ones(n)]),
-        b_ub=np.zeros(n),
-        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(None, None)],
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if row.status != 0:
-        raise SolverError(f"row LP failed: {row.message}")
-    return _verified_solution(a, row.x[:m], row.ineqlin.marginals)
+    return _GrowingGame(game.entries)._solve()
 
 
 class _GrowingGame:
-    """solve_exact's row LP held in one HiGHS model that grows with the game.
+    """A game's row LP in one HiGHS model that can grow with the game.
 
-    The model has solve_exact's layout and options but one: HiGHS drops
-    matrix entries at or below ``small_matrix_value``, 1e-9 by default,
-    which leaves a game of such entries short of the saddle contract, so
-    the model keeps every entry above 1e-12, the least HiGHS accepts.  On
-    a game with no entry of magnitude in (1e-12, 1e-9] the first solve
-    matches solve_exact bit for bit.  A new game row is a new LP column and
-    a new game column a new ``<= 0`` LP row; HiGHS keeps its basis across
-    the changes, so each later solve is a warm-started dual simplex.  Every
-    solve is certified by _verified_solution against the grown matrix.
-    This drives HiGHS through scipy's private ``_highspy`` binding, whose
-    methods scipy may change between minor releases (pyproject pins it).
+    solve_exact is one cold solve of a fresh model.  HiGHS drops matrix
+    entries at or below ``small_matrix_value``, 1e-9 by default, which
+    leaves a game of such entries short of the saddle contract, so the
+    model keeps every entry above 1e-12, the least HiGHS accepts.  A new
+    game row is a new LP column and a new game column a new ``<= 0`` LP
+    row; HiGHS keeps its basis across the changes, so each later solve is a
+    warm-started dual simplex.  Every solve is certified by
+    _verified_solution against the grown matrix.  This drives HiGHS through
+    scipy's private ``_highspy`` binding, whose methods scipy may change
+    between minor releases (pyproject pins it).
     """
 
     def __init__(self, entries: np.ndarray):
@@ -309,17 +308,18 @@ class _GrowingGame:
             "output_flag": False,
             "log_to_console": False,
             "small_matrix_value": 1e-12,
-            **_LP_OPTIONS,
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
         }
         for key, value in options.items():
             self._highs.setOptionValue(key, value)
-        self._load(np.array(entries, dtype=float))
+        self._load(np.asarray(entries, dtype=float))
 
     def _load(self, a: np.ndarray) -> None:
         """Replace the model, basis included, by the row LP of game ``a``."""
         m, n = a.shape
         self.entries = a
-        # As linprog builds it: one <= 0 row per game column, then sum(sigma) = 1.
+        # One <= 0 row per game column, then sum(sigma) = 1.
         matrix = csc_array(
             np.vstack([np.column_stack([-a.T, np.ones(n)]), np.concatenate([np.ones(m), [0.0]])])
         )
@@ -371,9 +371,9 @@ class _GrowingGame:
         """Re-solve from the last basis, and once from a new model if that is not certified.
 
         A warm-started solve can end short of SADDLE_TOL where a cold one
-        of the same game does not, and a cold one depends on the order of
-        the LP's columns, so the retry reloads the game in solve_exact's
-        layout.  SolverError if neither solve is optimal and certified.
+        of the same game does not, so the retry reloads the grown game and
+        solves it cold, as solve_exact does.  SolverError if neither solve
+        is optimal and certified.
         """
         try:
             return self._solve()
@@ -382,6 +382,7 @@ class _GrowingGame:
             return self._solve()
 
     def _solve(self) -> GameSolution:
+        """One solve of the model as it stands: cold after a load, warm after growth."""
         self._highs.run()
         status = self._highs.getModelStatus()
         if status != _highs.HighsModelStatus.kOptimal:

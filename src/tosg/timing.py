@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .duel import guard_cells
 from .errors import InputError
 from .matrix_game import (
     DUST_TOL,
@@ -22,6 +21,7 @@ from .matrix_game import (
     _as_float_array,
     _as_int,
     _field,
+    guard_cells,
     solve_exact,
 )
 
@@ -97,7 +97,7 @@ def _evaluate_upper(a, grid: np.ndarray) -> np.ndarray:
 def build_kernel(a, grid_n: int) -> TimingKernel:
     """Realize A(x, y) on a uniform grid; skew-symmetry holds by construction.
 
-    The grid_n x grid_n arrays are bounded by the duel's cap (guard_cells),
+    The grid_n x grid_n arrays are bounded by the size cap (guard_cells),
     checked before any allocation.
     """
     if grid_n < 3:

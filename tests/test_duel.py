@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tosg.duel
-import tosg.matrix_game
 from tosg.duel import (
     AccuracyFunction,
     DuelSpec,
@@ -22,7 +21,7 @@ from tosg.duel import (
     solve_duel,
 )
 from tosg.errors import InputError, ResourceLimitError, SolverError
-from tosg.matrix_game import _verified_solution, solve_exact
+from tosg.matrix_game import PayoffMatrix, _GrowingGame, solve_exact
 
 IDENT = AccuracyFunction.identity()
 ONE_SHOT = DuelSpec(1, 1, IDENT, IDENT)
@@ -354,22 +353,31 @@ class TestSolveDuel:
         with pytest.raises(SolverError):
             solve_duel(DuelSpec(2, 2, IDENT, IDENT), 9)
 
-    def test_failed_warm_solve_falls_back_to_solve_exact(self, monkeypatch):
-        # Uniform strategies fail the gap check on most restricted games.
-        def uniform_solve(model):
-            rows, cols = model.entries.shape
-            return _verified_solution(model.entries, np.ones(rows), -np.ones(cols))
+    def test_failed_warm_solve_reloads_the_model(self, monkeypatch):
+        # Fail every warm solve, the first after each growth step, so that
+        # each round's restricted game is solved cold on a reloaded model.
+        cold_solve = _GrowingGame._solve
+        failed, reloaded = [], []
 
-        fallbacks = []
+        def warm_solve_fails(model):
+            # Grown since the last load: add_row and add_col append past _load's v column and sum row.
+            if len(model._sigma_cols) + len(model._column_rows) > model._v_col + model._sum_row:
+                failed.append(model.entries.shape)
+                raise SolverError("warm solve not certified")
+            solution = cold_solve(model)
+            reloaded.append((model.entries, solution))
+            return solution
 
-        def counted_solve_exact(game):
-            fallbacks.append(game.entries.shape)
-            return solve_exact(game)
-
-        monkeypatch.setattr(tosg.matrix_game._GrowingGame, "solve", uniform_solve)
-        monkeypatch.setattr(tosg.duel, "solve_exact", counted_solve_exact)
+        monkeypatch.setattr(_GrowingGame, "_solve", warm_solve_fails)
         solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
-        assert fallbacks
+        monkeypatch.undo()
+        assert failed
+        assert len(reloaded) == len(failed) + 1  # the seed game's first solve is cold too
+        for entries, restricted in reloaded:
+            exact = solve_exact(PayoffMatrix(entries))
+            assert (restricted.value, restricted.residual) == (exact.value, exact.residual)
+            assert np.array_equal(restricted.row_strategy.weights, exact.row_strategy.weights)
+            assert np.array_equal(restricted.col_strategy.weights, exact.col_strategy.weights)
         assert abs(solution.value - -0.47292884098749355) <= 1e-9
         assert solution.residual <= 1e-9
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_monotone_kernel
-from tosg.duel import MAX_STRATEGY_PAIRS, AccuracyFunction, DuelSpec, discretize_duel
+from tosg.duel import AccuracyFunction, DuelSpec, discretize_duel
 from tosg.errors import InputError, ResourceLimitError
-from tosg.matrix_game import MixedStrategy, PayoffMatrix, solve_fictitious_play
+from tosg.matrix_game import MAX_STRATEGY_PAIRS, MixedStrategy, PayoffMatrix, solve_fictitious_play
 from tosg.timing import (
     TimingKernel,
     ValidationReport,
