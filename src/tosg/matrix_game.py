@@ -393,23 +393,60 @@ class _GrowingGame:
         return _verified_solution(self.entries, x, duals)
 
 
-def solve_fictitious_play(
-    game: PayoffMatrix, max_iterations: int, tol: float = SADDLE_TOL
-) -> GameSolution:
+def _overtaken_at(x: np.ndarray, slope: np.ndarray, lead: int, cap: int) -> int:
+    """The first s >= 1, at most cap, at which a line x + s*slope overtakes ``lead``.
+
+    Ties go to the lowest index, so a lower index takes over on reaching the
+    leader and a higher one on passing it.  The crossing points are an
+    estimate in floating point; the caller confirms them.  Halving keeps the
+    differences of finite numbers finite.
+    """
+    gain = 0.5 * slope - 0.5 * slope[lead]
+    rising = (gain > 0.0).nonzero()[0]
+    if rising.size == 0:
+        return cap
+    cross = (0.5 * x[lead] - 0.5 * x[rising]) / gain[rising]
+    first = np.where(rising < lead, np.ceil(cross), np.floor(cross) + 1.0).min()
+    return int(max(1.0, min(first, cap)))
+
+
+def _first(lo: int, hi: int, holds) -> int:
+    """The least s in [lo, hi) where holds(s), else hi; holds(s) stays true once it is true."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# Overflow surfaces as a non-finite payoff sum or bracket, which raises SolverError.
+@np.errstate(over="ignore", invalid="ignore")
+def solve_fictitious_play(game: PayoffMatrix, max_iterations: int) -> GameSolution:
     """Solve the game by iterated best responses to empirical frequencies.
 
     Both players best-respond against the opponent's cumulative play (ties
     broken toward the lowest index).  Each iteration yields a bracket
     [min(W)/k, max(U)/k] around the value; the running tightest bracket is
     reported, with value = midpoint and residual = bracket width.  Stops
-    early once residual <= tol; exhausting the budget is not an error, the
-    best bracket found is returned.
+    early once residual <= SADDLE_TOL; exhausting the budget is not an
+    error, the best bracket found is returned.  A payoff sum or bracket
+    beyond the float64 range raises SolverError.
+
+    The loop jumps over whole runs of iterations in which the best-response
+    pair (i, j) stays the same.  Within a run the cumulative payoffs move
+    linearly: the run's end comes from where their lines cross, its best
+    bracket lies at an end point, and an early stop inside it is found by
+    bisection.  The cost therefore grows with the number of best-response
+    switches, not with max_iterations.  When every partial sum is exact
+    (integer payoffs whose sums stay below 2**53), the result equals that of
+    stepping one iteration at a time bit for bit.
     """
     if max_iterations < 1:
         raise InputError("max_iterations must be at least 1")
     a = game.entries
     m, n = a.shape
-    a_cols = np.asfortranarray(a)
 
     u = np.zeros(m)  # cumulative row payoffs against the column history
     w = np.zeros(n)  # cumulative row payoffs of each column against the row history
@@ -418,23 +455,72 @@ def solve_fictitious_play(
     best_lower, best_upper = -np.inf, np.inf
 
     k = 0
-    for k in range(1, max_iterations + 1):
-        i = int(np.argmax(u))
-        j = int(np.argmin(w))
-        row_counts[i] += 1.0
-        col_counts[j] += 1.0
-        u += a_cols[:, j]
-        w += a[i, :]
-        best_upper = min(best_upper, u.max() / k)
-        best_lower = max(best_lower, w.min() / k)
-        if best_upper - best_lower <= tol:
-            break
+    while k < max_iterations:
+        i = int(u.argmax())
+        j = int(w.argmin())
+        c, r = a[:, j], a[i, :]
 
+        def ends(s: int) -> bool:
+            # Step k + s ends the run: after it the pair changes or a sum overflows.
+            u_s, w_s = u + s * c, w + s * r
+            finite = np.isfinite(u_s).all() and np.isfinite(w_s).all()
+            return not finite or u_s.argmax() != i or w_s.argmin() != j
+
+        def bracket(s: int) -> tuple[float, float]:
+            # The best bracket after the run's first s steps, s < run.  Until
+            # its last step the run's leaders hold max u and min w, and
+            # (u[i] + s*c[i]) / (k + s) is monotone in s from s = 0, whose
+            # value the best bracket already holds: the best lies at s.
+            # Likewise for w.
+            return (
+                min(best_upper, (u[i] + s * c[i]) / (k + s)),
+                max(best_lower, (w[j] + s * r[j]) / (k + s)),
+            )
+
+        def closed(s: int) -> bool:
+            upper, lower = bracket(s)
+            return upper - lower <= SADDLE_TOL
+
+        # Confirm the estimated run length on the same float expression the
+        # next run starts from.  Once a run has ended it stays ended, so a
+        # miss is found by bisection.
+        left = max_iterations - k
+        run = min(_overtaken_at(u, c, i, left), _overtaken_at(-w, -r, j, left))
+        if run > 1 and ends(run - 1):
+            run = _first(1, run - 1, ends)
+        elif run < left and not ends(run):
+            run = _first(run + 1, left, ends)
+
+        upper, lower = bracket(run - 1) if run > 1 else (best_upper, best_lower)
+        stop = run > 1 and upper - lower <= SADDLE_TOL
+        if stop:
+            # The running gap never grows: bisect for the first step within SADDLE_TOL.
+            run = _first(1, run - 1, closed)
+            upper, lower = bracket(run)
+        else:
+            u_end, w_end = u + run * c, w + run * r
+            if not (np.isfinite(u_end).all() and np.isfinite(w_end).all()):
+                raise SolverError(f"fictitious play payoff sums overflow at iteration {k + run}")
+            upper = min(upper, u_end.max() / (k + run))
+            lower = max(lower, w_end.min() / (k + run))
+            stop = upper - lower <= SADDLE_TOL
+
+        row_counts[i] += run
+        col_counts[j] += run
+        k += run
+        best_upper, best_lower = upper, lower
+        if stop:
+            break
+        u, w = u_end, w_end
+
+    value, residual = 0.5 * (best_lower + best_upper), best_upper - best_lower
+    if not (np.isfinite(value) and np.isfinite(residual)):
+        raise SolverError("fictitious play bracket overflows float64")
     return GameSolution(
-        value=0.5 * (best_lower + best_upper),
+        value=value,
         row_strategy=MixedStrategy(row_counts / k),
         col_strategy=MixedStrategy(col_counts / k),
-        residual=best_upper - best_lower,
+        residual=residual,
         method="fictitious_play",
         iterations=k,
     )

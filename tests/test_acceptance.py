@@ -130,7 +130,7 @@ def test_criterion_08_fictitious_play_vs_exact():
             shape = (int(rng.integers(2, 9)), int(rng.integers(2, 9)))
             game = PayoffMatrix(rng.uniform(-5.0, 5.0, shape))
             exact = solve_exact(game)
-            played = solve_fictitious_play(game, max_iterations=10**5, tol=1e-4)
+            played = solve_fictitious_play(game, max_iterations=10**5)
             assert abs(played.value - exact.value) <= 1e-2
 
 

@@ -122,6 +122,15 @@ class TestSolveMatrix:
         assert out == ""
         assert re.fullmatch(r"error: saddle gap \S+ exceeds tol 1\.000e-09\n", err)
 
+    def test_overflowing_fictitious_play_is_exit_one_with_one_line(self, tmp_path, capsys):
+        # The cumulative payoffs of the second iteration pass the float64 range.
+        game = {"entries": [[1e308, -1e308], [-1e308, 1e308]]}
+        path = write(tmp_path, "game.json", game)
+        code, out, err = run(capsys, "solve-matrix", path, "--method", "fictitious-play", "--iterations", "1000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: fictitious play payoff sums overflow at iteration 2\n"
+
 
 class TestSimulateDuel:
     def test_deterministic_across_runs(self, tmp_path, capsys):

@@ -287,9 +287,63 @@ class TestGrowingGame:
                 assert np.array_equal(solution.col_strategy.weights, exact.col_strategy.weights)
 
 
+def fictitious_play_steps(game: PayoffMatrix, max_iterations: int) -> GameSolution:
+    """The reference for solve_fictitious_play: one best-response step per iteration."""
+    a = game.entries
+    m, n = a.shape
+    a_cols = np.asfortranarray(a)
+
+    u = np.zeros(m)
+    w = np.zeros(n)
+    row_counts = np.zeros(m)
+    col_counts = np.zeros(n)
+    best_lower, best_upper = -np.inf, np.inf
+
+    k = 0
+    for k in range(1, max_iterations + 1):
+        i = int(np.argmax(u))
+        j = int(np.argmin(w))
+        row_counts[i] += 1.0
+        col_counts[j] += 1.0
+        u += a_cols[:, j]
+        w += a[i, :]
+        best_upper = min(best_upper, u.max() / k)
+        best_lower = max(best_lower, w.min() / k)
+        if best_upper - best_lower <= SADDLE_TOL:
+            break
+
+    return GameSolution(
+        value=0.5 * (best_lower + best_upper),
+        row_strategy=MixedStrategy(row_counts / k),
+        col_strategy=MixedStrategy(col_counts / k),
+        residual=best_upper - best_lower,
+        method="fictitious_play",
+        iterations=k,
+    )
+
+
+def criterion_08_games() -> list[PayoffMatrix]:
+    """The 20 seeded float games of acceptance criterion 08."""
+    rng = np.random.default_rng(42)
+    games = []
+    for _ in range(20):
+        shape = (int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+        games.append(PayoffMatrix(rng.uniform(-5.0, 5.0, shape)))
+    return games
+
+
+# Entries in -3..3 make ties between best responses frequent, and every
+# partial sum stays an exact integer.
+small_integer_games = st.integers(1, 8).flatmap(
+    lambda m: st.integers(1, 8).flatmap(
+        lambda n: arrays(np.float64, (m, n), elements=st.integers(-3, 3).map(float))
+    )
+)
+
+
 class TestFictitiousPlay:
     def test_pure_saddle_converges_fast(self):
-        solution = solve_fictitious_play(PayoffMatrix([[1.0, 2.0], [0.0, 3.0]]), 1000, tol=1e-9)
+        solution = solve_fictitious_play(PayoffMatrix([[1.0, 2.0], [0.0, 3.0]]), 1000)
         assert solution.value == pytest.approx(1.0)
         assert solution.iterations <= 5
         assert solution.method == "fictitious_play"
@@ -297,17 +351,17 @@ class TestFictitiousPlay:
     def test_matching_pennies_vs_exact(self):
         game = PayoffMatrix(MATCHING_PENNIES)
         exact = solve_exact(game)
-        played = solve_fictitious_play(game, 10**5, tol=1e-4)
+        played = solve_fictitious_play(game, 10**5)
         assert abs(played.value - exact.value) <= 1e-2
 
     def test_equalizing_game_vs_exact(self):
         game = PayoffMatrix([[3.0, 1.0], [0.0, 2.0]])
         exact = solve_exact(game)
-        played = solve_fictitious_play(game, 10**5, tol=1e-4)
+        played = solve_fictitious_play(game, 10**5)
         assert abs(played.value - exact.value) <= 1e-2
 
     def test_nonconvergence_reports_bracket(self):
-        solution = solve_fictitious_play(PayoffMatrix(MATCHING_PENNIES), 4, tol=0.0)
+        solution = solve_fictitious_play(PayoffMatrix(MATCHING_PENNIES), 4)
         assert solution.iterations == 4
         assert solution.residual > 0.0
         assert solution.lower <= 0.0 <= solution.upper
@@ -317,8 +371,31 @@ class TestFictitiousPlay:
     def test_bracket_contains_exact_value(self, entries):
         game = PayoffMatrix(entries)
         exact = solve_exact(game)
-        played = solve_fictitious_play(game, 2000, tol=1e-6)
+        played = solve_fictitious_play(game, 2000)
         assert played.lower - 1e-9 <= exact.value <= played.upper + 1e-9
+
+    @settings(deadline=None)
+    @given(small_integer_games, st.integers(1, 3000))
+    @example(np.array([[1.0, 2.0], [0.0, 3.0]]), 1000)  # pure saddle: stops early
+    @example(np.array(MATCHING_PENNIES), 3000)
+    def test_equals_the_step_loop_on_integer_games(self, entries, max_iterations):
+        game = PayoffMatrix(entries)
+        played = solve_fictitious_play(game, max_iterations)
+        stepped = fictitious_play_steps(game, max_iterations)
+        assert (played.value, played.residual, played.iterations) == (
+            stepped.value, stepped.residual, stepped.iterations
+        )
+        assert np.array_equal(played.row_strategy.weights, stepped.row_strategy.weights)
+        assert np.array_equal(played.col_strategy.weights, stepped.col_strategy.weights)
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_agrees_with_the_step_loop_on_float_games(self, index):
+        game = criterion_08_games()[index]
+        played = solve_fictitious_play(game, 10**5)
+        stepped = fictitious_play_steps(game, 10**5)
+        assert played.iterations == stepped.iterations
+        assert abs(played.value - stepped.value) <= 1e-9
+        assert abs(played.residual - stepped.residual) <= 1e-9
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(InputError):

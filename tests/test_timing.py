@@ -266,7 +266,7 @@ class TestSpectrum:
         cell = 1.0 / 20.0
         exact = solve_timing(kernel)
         game = PayoffMatrix(kernel.matrix)
-        played = solve_fictitious_play(game, 300_000, tol=1e-3)
+        played = solve_fictitious_play(game, 300_000)
         pts_exact, atom_exact = spectrum(exact.strategy, kernel, atom_tol=1e-6)
         pts_fp, atom_fp = spectrum(played.row_strategy, kernel, atom_tol=1e-3)
         assert atom_exact == atom_fp
