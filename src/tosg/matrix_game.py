@@ -12,10 +12,6 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
-# Called nowhere: kept only for perfbench/spans.py's WRAPS; ROADMAP item 2 removes it.
-from scipy.optimize import linprog
-from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import csc_array
 
 from .errors import InputError, ResourceLimitError, SolverError
 
@@ -31,6 +27,17 @@ SADDLE_TOL = 1e-9
 # restricted games and subset profiles, and the grid_n**2 timing kernel
 # (grids up to 3,464 points).
 MAX_STRATEGY_PAIRS = 12_000_000
+
+
+def __getattr__(name: str):
+    # Exists only for perfbench/spans.py's WRAPS, which looks up
+    # matrix_game.linprog; nothing calls it.  ROADMAP item 2 deletes this
+    # together with the matrix_game.lp span.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def guard_cells(cells: int, what: str) -> None:
@@ -297,14 +304,20 @@ class _GrowingGame:
     warm-started dual simplex.  Every solve is certified by
     _verified_solution against the grown matrix.  This drives HiGHS through
     scipy's private ``_highspy`` binding, whose methods scipy may change
-    between minor releases (pyproject pins it).
+    between minor releases (pyproject pins it).  scipy is imported here, on
+    the first model a process builds, and not with tosg: importing
+    scipy.optimize takes about 0.45 s, several times the CLI's solves.
     """
 
     def __init__(self, entries: np.ndarray):
-        self._highs = _highs._Highs()
+        from scipy.optimize._highspy import _core
+        from scipy.sparse import csc_array
+
+        self._core, self._csc_array = _core, csc_array
+        self._highs = _core._Highs()
         options = {
             "presolve": "on",
-            "simplex_strategy": _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+            "simplex_strategy": _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
             "output_flag": False,
             "log_to_console": False,
             "small_matrix_value": 1e-12,
@@ -320,13 +333,13 @@ class _GrowingGame:
         m, n = a.shape
         self.entries = a
         # One <= 0 row per game column, then sum(sigma) = 1.
-        matrix = csc_array(
+        matrix = self._csc_array(
             np.vstack([np.column_stack([-a.T, np.ones(n)]), np.concatenate([np.ones(m), [0.0]])])
         )
-        lp = _highs.HighsLp()
+        lp = self._core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = m + 1
         lp.num_row_ = lp.a_matrix_.num_row_ = n + 1
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = self._core.MatrixFormat.kColwise
         lp.a_matrix_.start_ = matrix.indptr
         lp.a_matrix_.index_ = matrix.indices
         lp.a_matrix_.value_ = matrix.data
@@ -335,7 +348,7 @@ class _GrowingGame:
         lp.col_upper_ = np.full(m + 1, np.inf)
         lp.row_lower_ = np.concatenate([np.full(n, -np.inf), [1.0]])
         lp.row_upper_ = np.concatenate([np.zeros(n), [1.0]])
-        if self._highs.passModel(lp) == _highs.HighsStatus.kError:
+        if self._highs.passModel(lp) == self._core.HighsStatus.kError:
             raise SolverError("HiGHS refused the game's row LP")
         # LP column of each game row's weight, and LP row of each game column.
         self._sigma_cols = list(range(m))
@@ -362,9 +375,8 @@ class _GrowingGame:
         self._column_rows.append(self._highs.getNumRow())
         self._add(self._highs.addRow(-np.inf, 0.0, len(cols), cols.astype(np.int32), values))
 
-    @staticmethod
-    def _add(status) -> None:
-        if status == _highs.HighsStatus.kError:
+    def _add(self, status) -> None:
+        if status == self._core.HighsStatus.kError:
             raise SolverError("HiGHS refused a new row or column of the game")
 
     def solve(self) -> GameSolution:
@@ -385,7 +397,7 @@ class _GrowingGame:
         """One solve of the model as it stands: cold after a load, warm after growth."""
         self._highs.run()
         status = self._highs.getModelStatus()
-        if status != _highs.HighsModelStatus.kOptimal:
+        if status != self._core.HighsModelStatus.kOptimal:
             raise SolverError(f"row LP failed: {self._highs.modelStatusToString(status)}")
         solution = self._highs.getSolution()
         x = np.asarray(solution.col_value)[self._sigma_cols]

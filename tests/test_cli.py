@@ -4,9 +4,11 @@ import functools
 import json
 import math
 import operator
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tosg.cli
 from tosg.cli import _build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -392,6 +395,49 @@ class TestPinnedOutputs:
         code, out, err = run(capsys, command, *flags)
         assert code == 0, err
         assert out.encode("utf-8") == (DATA / "cli" / name).read_bytes()
+
+
+# Runs main on each command line in order, in one fresh interpreter, and
+# prints, per step, its exit code and whether scipy / scipy.optimize are loaded.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import tosg.cli
+
+steps = [["import tosg.cli", 0, "scipy" in sys.modules, "scipy.optimize" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tosg.cli.main(argv)
+    steps.append([argv[0], code, "scipy" in sys.modules, "scipy.optimize" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+class TestStartup:
+    def test_scipy_loads_only_with_the_first_lp(self, tmp_path):
+        # Importing scipy.optimize takes several times as long as these
+        # commands' work, so only an exact solve may load it.  The exact
+        # solve runs last, as the control that the probe sees scipy at all.
+        argvs = [["--version"]]
+        for name in (
+            "eval-tree.json", "risk.json", "simulate-duel.json", "solve-evasion.json",
+            "solve-tosg.json", "solve-matrix-fictitious-play.json", "solve-matrix-exact.json",
+        ):
+            (command, *flags), document = PINNED_OUTPUTS[name]
+            if document is not None:
+                flags.insert(0, write(tmp_path, name, document))
+            argvs.append([command, *flags])
+        src = str(Path(tosg.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert probe.returncode == 0, probe.stderr
+        steps = json.loads(probe.stdout)
+        assert [step for step, code, _, _ in steps if code != 0] == []
+        *lean, exact = steps
+        assert [step for step, _, scipy, _ in lean if scipy] == []
+        assert exact[0] == "solve-matrix" and exact[3]
 
 
 class TestCliContract:

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -247,14 +249,22 @@ class TestGrowingGame:
     def test_private_highs_api_is_present(self):
         # _GrowingGame drives scipy's private HiGHS binding, which may change
         # between scipy minor releases; pyproject pins the series this matches.
-        from scipy.optimize._highspy._core import _Highs
+        # The binding is imported on the first solve, so a renamed name would
+        # otherwise show only there.
+        from scipy.optimize._highspy import _core
 
         methods = (
             "setOptionValue", "passModel", "addCol", "addRow", "getNumCol", "getNumRow",
             "run", "getModelStatus", "modelStatusToString", "getSolution",
         )
         for method in methods:
-            assert callable(getattr(_Highs, method, None)), method
+            assert callable(getattr(_core._Highs, method, None)), method
+        names = (
+            "HighsLp", "MatrixFormat.kColwise", "HighsStatus.kError", "HighsModelStatus.kOptimal",
+            "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
+        )
+        for name in names:
+            assert operator.attrgetter(name)(_core) is not None, name
         highs = _GrowingGame(np.array([[1.0]]))._highs
         assert highs.getOptionValue("presolve")[1] == "on"
         assert highs.getOptionValue("simplex_strategy")[1] == 1  # dual simplex
