@@ -219,12 +219,31 @@ def duel_payoff(spec: DuelSpec, x, y) -> float:
     return payoff
 
 
+def _live_hits(rng: np.random.Generator, alive: np.ndarray, prob: float) -> np.ndarray | None:
+    """The live trials one side hits in a volley, from its block of draws.
+
+    A side with prob == 0 reads nothing of its block, so the block is skipped
+    (None); PCG64 advances over it in O(log size).
+    """
+    if prob == 0.0:
+        rng.bit_generator.advance(alive.size)
+        return None
+    hits = rng.random(alive.size) < prob
+    hits &= alive
+    return hits
+
+
 def simulate_duel(spec: DuelSpec, x, y, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of duel_payoff with its standard error.
 
     Trials are partitioned into fixed-size chunks, each driven by a
     generator seeded from (seed, chunk index), so the estimate is identical
-    for a given seed regardless of execution order or parallelism.
+    for a given seed regardless of execution order or parallelism.  Within a
+    chunk the stream is laid out by volley: player 1's block of one draw per
+    trial, then player 2's block.  A block its side cannot use (a volley it
+    does not fire, or fires with accuracy 0) is skipped rather than drawn,
+    and a chunk stops once none of its trials is alive; neither changes an
+    estimate, since every trial still reads the same draws.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
@@ -233,25 +252,33 @@ def simulate_duel(spec: DuelSpec, x, y, trials: int, seed: int) -> tuple[float, 
     x, y = _coerce_times(spec, x, y)
     volleys = _volleys(spec, x, y)
 
-    total = 0.0
-    total_sq = 0.0
+    wins = losses = 0
     n_chunks = (trials + _SIM_CHUNK - 1) // _SIM_CHUNK
     for chunk in range(n_chunks):
         size = min(_SIM_CHUNK, trials - chunk * _SIM_CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk)))
         alive = np.ones(size, dtype=bool)
-        outcome = np.zeros(size)
         for _, p_eff, q_eff in volleys:
-            hit1 = rng.random(size) < p_eff
-            hit2 = rng.random(size) < q_eff
-            outcome[alive & hit1 & ~hit2] = 1.0
-            outcome[alive & hit2 & ~hit1] = -1.0
-            alive &= ~(hit1 | hit2)
-        total += outcome.sum()
-        total_sq += (outcome**2).sum()
+            hit1 = _live_hits(rng, alive, p_eff)
+            hit2 = _live_hits(rng, alive, q_eff)
+            if hit1 is not None and hit2 is not None:
+                # A simultaneous mutual hit ends the trial and scores 0.
+                mutual = hit1 & hit2
+                hit1 ^= mutual
+                hit2 ^= mutual
+                alive ^= mutual
+            if hit1 is not None:
+                wins += np.count_nonzero(hit1)
+                alive ^= hit1
+            if hit2 is not None:
+                losses += np.count_nonzero(hit2)
+                alive ^= hit2
+            if not alive.any():
+                break
 
-    estimate = float(total / trials)
+    estimate = float(wins - losses) / trials
     if trials > 1:
+        total_sq = wins + losses
         var = max(float(total_sq) - trials * estimate**2, 0.0) / (trials - 1)
         stderr = math.sqrt(var / trials)
     else:

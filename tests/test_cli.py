@@ -176,6 +176,22 @@ class TestSimulateDuel:
         assert out == "" and err != ""
 
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [([0.3, 0.7], [0.7]), ([0.2, 1.0], [0.6, 1.0])],
+        ids=["shared-time", "sure-hit-at-one"],
+    )
+    def test_skipped_and_stopped_volleys_print_one_line(self, tmp_path, capsys, x, y):
+        # A shared time makes a two-sided volley; t = 1 with identity accuracy
+        # ends every trial, so the sampler's chunks stop early.
+        doc = {"m": len(x), "n": len(y), "p": {"kind": "identity"}, "q": {"kind": "identity"}, "x": x, "y": y}
+        path = write(tmp_path, "duel.json", doc)
+        code, out, err = run(capsys, "simulate-duel", path, "--seed", "3", "--iterations", "40000")
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert set(result) == {"estimate", "seed", "stderr", "trials"}
+        assert (result["seed"], result["trials"]) == (3, 40000)
+
 class TestSolveDuelCommand:
     def test_json_output(self, tmp_path, capsys):
         path = write(tmp_path, "duel.json", {"m": 1, "n": 1,

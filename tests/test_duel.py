@@ -4,17 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tosg.duel
 from tosg.duel import (
     AccuracyFunction,
     DuelSpec,
     TimeVector,
+    _SIM_CHUNK,
     _best_response,
     _hits,
     _profiles,
     _strategy_subsets,
+    _volleys,
     discretize_duel,
     duel_payoff,
     simulate_duel,
@@ -55,6 +57,50 @@ def refusal_peak(solver, spec: DuelSpec, grid_n: int) -> int:
 
 def symmetric_spec(shots: int) -> DuelSpec:
     return DuelSpec(shots, shots, IDENT, IDENT)
+
+
+def simulate_duel_draws(spec: DuelSpec, x, y, trials: int, seed: int) -> tuple[float, float]:
+    """The reference for simulate_duel: every block of every volley drawn, outcomes summed as floats."""
+    x, y = TimeVector(x), TimeVector(y)
+    volleys = _volleys(spec, x, y)
+
+    total = 0.0
+    total_sq = 0.0
+    n_chunks = (trials + _SIM_CHUNK - 1) // _SIM_CHUNK
+    for chunk in range(n_chunks):
+        size = min(_SIM_CHUNK, trials - chunk * _SIM_CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, chunk)))
+        alive = np.ones(size, dtype=bool)
+        outcome = np.zeros(size)
+        for _, p_eff, q_eff in volleys:
+            hit1 = rng.random(size) < p_eff
+            hit2 = rng.random(size) < q_eff
+            outcome[alive & hit1 & ~hit2] = 1.0
+            outcome[alive & hit2 & ~hit1] = -1.0
+            alive &= ~(hit1 | hit2)
+        total += outcome.sum()
+        total_sq += (outcome**2).sum()
+
+    estimate = float(total / trials)
+    if trials > 1:
+        var = max(float(total_sq) - trials * estimate**2, 0.0) / (trials - 1)
+        stderr = math.sqrt(var / trials)
+    else:
+        stderr = 0.0
+    return estimate, stderr
+
+
+# Times at 0 give zero-accuracy volleys, a shared time a two-sided volley, and
+# t = 1 (or SURE_EARLY from 0.5 on) a sure hit that ends every trial early.
+volley_times = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), times)
+
+
+@st.composite
+def sampled_duels(draw):
+    spec = draw(st.builds(DuelSpec, st.integers(1, 3), st.integers(1, 3), accuracies, accuracies))
+    x = draw(st.lists(volley_times, min_size=spec.m, max_size=spec.m))
+    y = draw(st.lists(volley_times, min_size=spec.n, max_size=spec.n))
+    return spec, sorted(x), sorted(y)
 
 
 class TestAccuracyFunction:
@@ -186,6 +232,33 @@ class TestSimulateDuel:
             exact = duel_payoff(spec, x, y)
             est, se = simulate_duel(spec, x, y, trials=40_000, seed=1000 + i)
             assert abs(est - exact) <= 3 * se + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sampled_duels(),
+        st.sampled_from([1, _SIM_CHUNK, _SIM_CHUNK + 1, 3 * _SIM_CHUNK + 7]),
+        st.integers(0, 2**32),
+    )
+    @example((DuelSpec(2, 2, IDENT, AccuracyFunction.power(2.0)), [0.3, 0.7], [0.3, 0.9]), _SIM_CHUNK + 1, 5)
+    @example((DuelSpec(2, 1, IDENT, SURE_EARLY), [0.0, 0.4], [0.0]), 3 * _SIM_CHUNK + 7, 6)
+    @example((DuelSpec(2, 2, IDENT, IDENT), [0.2, 1.0], [0.6, 1.0]), 3 * _SIM_CHUNK + 7, 7)
+    @example((ONE_SHOT, [1.0], [0.4]), 1, 8)
+    @example((DuelSpec(1, 1, AccuracyFunction.power(3.0), IDENT), [0.1], [0.8]), _SIM_CHUNK, 9)  # p = 0.001
+    def test_equals_drawing_every_block(self, case, trials, seed):
+        spec, x, y = case
+        assert simulate_duel(spec, x, y, trials=trials, seed=seed) == simulate_duel_draws(
+            spec, x, y, trials, seed
+        )
+
+    def test_skipping_a_block_equals_drawing_it(self):
+        # simulate_duel skips a block of draws with advance; an upgrade of
+        # numpy (pyproject only asks >= 1.24) that breaks this equality would
+        # otherwise shift every estimate silently.
+        for skip, keep in ((1, 1), (7, 3), (_SIM_CHUNK, _SIM_CHUNK + 1)):
+            drawn = np.random.default_rng(np.random.SeedSequence(entropy=(3, skip)))
+            skipped = np.random.default_rng(np.random.SeedSequence(entropy=(3, skip)))
+            skipped.bit_generator.advance(skip)
+            assert np.array_equal(drawn.random(skip + keep)[skip:], skipped.random(keep))
 
     def test_validation(self):
         with pytest.raises(InputError):
