@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import csc_array
 
 from tosg.errors import InputError
 from tosg.matrix_game import (
@@ -17,6 +18,7 @@ from tosg.matrix_game import (
     solve_exact,
     solve_fictitious_play,
 )
+from tosg.timing import build_kernel, duel_kernel_fn
 
 MATCHING_PENNIES = [[1.0, -1.0], [-1.0, 1.0]]
 
@@ -88,6 +90,17 @@ def grown_games(draw):
             growth.append(("col", draw(arrays(np.float64, m, elements=entry))))
             n += 1
     return seed, growth
+
+
+@st.composite
+def layout_games(draw):
+    """A game of 1 to 8 rows and columns with many 0.0 and -0.0 entries and some all-zero rows and columns."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    zero = st.sampled_from([0.0, -0.0])
+    a = draw(arrays(np.float64, (m, n), elements=st.one_of(zero, entry)))
+    a[draw(arrays(np.bool_, m)), :] = draw(zero)
+    a[:, draw(arrays(np.bool_, n))] = draw(zero)
+    return a
 
 
 def saddle_violation(game: PayoffMatrix, solution: GameSolution) -> float:
@@ -260,18 +273,59 @@ class TestGrowingGame:
         for method in methods:
             assert callable(getattr(_core._Highs, method, None)), method
         names = (
-            "HighsLp", "MatrixFormat.kColwise", "HighsStatus.kError", "HighsModelStatus.kOptimal",
-            "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
+            "MatrixFormat.kColwise", "ObjSense.kMinimize", "HighsStatus.kError",
+            "HighsModelStatus.kOptimal", "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
         )
         for name in names:
             assert operator.attrgetter(name)(_core) is not None, name
-        highs = _GrowingGame(np.array([[1.0]]))._highs
-        assert highs.getOptionValue("presolve")[1] == "on"
+        # _load passes the arrays through passModel's array overload.
+        model = _GrowingGame(np.array([[2.5]]))
+        highs = model._highs
+        lp = highs.getLp()
+        assert (lp.num_col_, lp.num_row_) == (2, 2)
+        assert list(lp.a_matrix_.value_) == [-2.5, 1.0, 1.0]
         assert highs.getOptionValue("simplex_strategy")[1] == 1  # dual simplex
         assert highs.getOptionValue("output_flag")[1] is False
         assert highs.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("dual_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("small_matrix_value")[1] == 1e-12
+        # Cold solves run without presolve, warm ones with it.
+        assert highs.getOptionValue("presolve")[1] == "off"
+        model.add_row(np.array([1.0]))
+        assert highs.getOptionValue("presolve")[1] == "on"
+        model._load(model.entries)
+        assert highs.getOptionValue("presolve")[1] == "off"
+        model.add_col(np.array([0.0, 3.0]))
+        assert highs.getOptionValue("presolve")[1] == "on"
+        assert model.solve().value == pytest.approx(5.0 / 3.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout_games())
+    @example(np.array([[0.0]]))
+    @example(np.array([[-0.0, 2.0, 0.0]]))
+    @example(np.array([[0.0], [-0.0], [1.0]]))
+    @example(np.array([[1.0, 0.0, -0.0], [0.0, 0.0, 0.0], [-2.0, -0.0, 3.0]]))
+    @example(build_kernel(duel_kernel_fn, 201).matrix)
+    def test_load_passes_the_dense_layout(self, a):
+        # The reference: the row LP written out dense and made sparse by scipy.
+        m, n = a.shape
+        reference = csc_array(
+            np.vstack([np.column_stack([-a.T, np.ones(n)]), np.concatenate([np.ones(m), [0.0]])])
+        )
+        # HiGHS drops entries at or below small_matrix_value as it loads
+        # either layout: two of 1.4e-17 in the 201-point kernel.
+        reference.data[np.abs(reference.data) <= 1e-12] = 0.0
+        reference.eliminate_zeros()
+        lp = _GrowingGame(a)._highs.getLp()
+        assert (lp.num_col_, lp.num_row_) == (m + 1, n + 1)
+        assert np.array_equal(lp.a_matrix_.start_, reference.indptr)
+        assert np.array_equal(lp.a_matrix_.index_, reference.indices)
+        assert np.array_equal(lp.a_matrix_.value_, reference.data)
+        assert np.array_equal(lp.col_cost_, np.concatenate([np.zeros(m), [-1.0]]))
+        assert np.array_equal(lp.col_lower_, np.concatenate([np.zeros(m), [-np.inf]]))
+        assert np.array_equal(lp.col_upper_, np.full(m + 1, np.inf))
+        assert np.array_equal(lp.row_lower_, np.concatenate([np.full(n, -np.inf), [1.0]]))
+        assert np.array_equal(lp.row_upper_, np.concatenate([np.zeros(n), [1.0]]))
 
     @settings(max_examples=60, deadline=None)
     @given(grown_games())
