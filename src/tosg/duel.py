@@ -355,24 +355,43 @@ def _best_response(
     with W(G, 0) = 0 and -inf on states with more shots than grid points
     left.  The firing branch reads only feasible, finite states, so a sure
     hit (hit[g] = 1) never multiplies 0 by inf.
+
+    The pass is a scalar loop over zero-copy memoryviews of the three
+    profiles: numpy calls on arrays of shots + 1 floats cost more than the
+    arithmetic.  Each grid step updates W in place for k from
+    min(shots, grid_n - g) down to 1, then sets W(g, 0) = W(g+1, 0) - F[g].
+    The float operations and their order are fixed, because the double
+    oracle's path depends on how ties break: hold = W(g+1, k) - F[g],
+    fire = (hit[g] A[g] - F[g]) + (1 - hit[g]) W(g+1, k-1), and fire wins
+    only if fire > hold, so ties hold.  The choices go to a table of one
+    byte per (g, k) cell, grid_n * (shots + 1) bytes, which solve_duel's
+    guard_cells bounds; the best subset is read forward from it.
     """
     grid_n = hit.shape[0]
-    value = np.full(shots + 1, -np.inf)
-    value[0] = 0.0
-    fires = np.zeros((grid_n, shots + 1), dtype=bool)
+    alive, fired, hits = (
+        memoryview(np.ascontiguousarray(v, dtype=float)) for v in (opp_alive, opp_fire, hit)
+    )
+    width = shots + 1
+    value = [0.0] + [-math.inf] * shots
+    fires = bytearray(grid_n * width)
     for g in range(grid_n - 1, -1, -1):
-        top = min(shots, grid_n - g)
-        hold = value[: top + 1] - opp_fire[g]
-        fire = hit[g] * opp_alive[g] - opp_fire[g] + (1.0 - hit[g]) * value[:top]
-        fires[g, 1 : top + 1] = fire > hold[1:]
-        value[0] = hold[0]
-        value[1 : top + 1] = np.maximum(hold[1:], fire)
+        h, f = hits[g], fired[g]
+        gain, miss, cell = h * alive[g] - f, 1.0 - h, g * width
+        for k in range(min(shots, grid_n - g), 0, -1):
+            hold = value[k] - f
+            fire = gain + miss * value[k - 1]
+            if fire > hold:
+                value[k] = fire
+                fires[cell + k] = 1
+            else:
+                value[k] = hold
+        value[0] -= f
     subset, left = [], shots
     for g in range(grid_n):
-        if left and fires[g, left]:
+        if left and fires[g * width + left]:
             subset.append(g)
             left -= 1
-    return float(value[shots]), tuple(subset)
+    return value[shots], tuple(subset)
 
 
 def _seed_subsets(grid_n: int, shots: int) -> list[tuple[int, ...]]:
@@ -439,9 +458,7 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     col_alive, col_fire = _profiles(np.array(cols), q_hit, grid_n)
     model = _GrowingGame(row_fire @ col_alive.T - row_alive @ col_fire.T)
     while True:
-        restricted = model.solve()
-        sigma = restricted.row_strategy.weights
-        tau = restricted.col_strategy.weights
+        sigma, tau, _, _ = model.solve()
         col_gain, col_best = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
         upper, row_best = _best_response(tau @ col_alive, tau @ col_fire, p_hit, spec.m)
         lower = -col_gain

@@ -240,12 +240,16 @@ def _normalized(x: np.ndarray) -> np.ndarray:
     return x / total
 
 
-def _verified_solution(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> GameSolution:
-    """The exact solution certified by the row LP's primal x and column-row duals.
+# sigma, tau, and their verified security levels lower and upper.
+_Certified = tuple[np.ndarray, np.ndarray, float, float]
 
-    sigma is x normalized and tau the negated duals normalized.  The value
-    is the midpoint of what the column player can hold sigma to and what
-    the row player can get off tau, and the residual is their gap.  A
+
+def _certify(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> _Certified:
+    """The strategies certified by the row LP's primal x and column-row duals.
+
+    sigma is x normalized and tau the negated duals normalized.  lower is
+    what the column player can hold sigma to and upper what the row player
+    can get off tau; their gap is the verified saddle gap.  A
     skew-symmetric game (A = -A^T) has value 0 and one optimal strategy for
     both players, so both get whichever of sigma and tau guarantees more;
     the gap is then twice that one's shortfall.  A gap above SADDLE_TOL
@@ -264,11 +268,16 @@ def _verified_solution(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> GameS
     gap = max(upper - lower, 0.0)
     if gap > SADDLE_TOL:
         raise SolverError(f"saddle gap {gap:.3e} exceeds tol {SADDLE_TOL:.3e}")
+    return sigma, tau, lower, upper
+
+
+def _exact_solution(sigma: np.ndarray, tau: np.ndarray, lower: float, upper: float) -> GameSolution:
+    """The GameSolution of a _certify result: the midpoint value and the gap as residual."""
     return GameSolution(
         value=0.5 * (lower + upper),
         row_strategy=MixedStrategy(sigma),
         col_strategy=MixedStrategy(tau),
-        residual=gap,
+        residual=max(upper - lower, 0.0),
         method="exact",
     )
 
@@ -285,12 +294,12 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
         payoff(sigma*, any pure column) >= value - residual
         payoff(any pure row, tau*) <= value + residual
 
-    holds by construction; _verified_solution states the skew-symmetric rule
-    and raises SolverError on a gap above SADDLE_TOL.  The solve is not
+    holds by construction; _certify states the skew-symmetric rule and
+    raises SolverError on a gap above SADDLE_TOL.  The solve is not
     retried: a reload would solve the same LP again.  Being cold, it runs
     without presolve (see _GrowingGame).
     """
-    return _GrowingGame(game.entries)._solve()
+    return _exact_solution(*_GrowingGame(game.entries)._solve())
 
 
 class _GrowingGame:
@@ -308,12 +317,13 @@ class _GrowingGame:
     one from about 1.5 to 1.35 s (2 vCPUs), with the same iterations and
     bit-identical results.  Growing the model turns presolve back on, since
     warm solves without it were slower (5.4 vs 4.1 s for the 2-vs-6 double
-    oracle at grid 161).  Every solve is certified by
-    _verified_solution against the grown matrix.  This drives HiGHS through
-    scipy's private ``_highspy`` binding, whose methods scipy may change
-    between minor releases (pyproject pins it).  scipy is imported here, on
-    the first model a process builds, and not with tosg: importing
-    scipy.optimize takes about 0.45 s, several times the CLI's solves.
+    oracle at grid 161).  Every solve is certified by _certify against
+    the grown matrix and returns its (sigma, tau, lower, upper), with no
+    GameSolution built.  This drives HiGHS through scipy's private
+    ``_highspy`` binding, whose methods scipy may change between minor
+    releases (pyproject pins it).  scipy is imported here, on the first
+    model a process builds, and not with tosg: importing scipy.optimize
+    takes about 0.45 s, several times the CLI's solves.
     """
 
     def __init__(self, entries: np.ndarray):
@@ -393,7 +403,7 @@ class _GrowingGame:
             raise SolverError("HiGHS refused a new row or column of the game")
         self._highs.setOptionValue("presolve", "on")
 
-    def solve(self) -> GameSolution:
+    def solve(self) -> _Certified:
         """Re-solve from the last basis, and once from a new model if that is not certified.
 
         A warm-started solve can end short of SADDLE_TOL where a cold one
@@ -407,7 +417,7 @@ class _GrowingGame:
             self._load(self.entries)
             return self._solve()
 
-    def _solve(self) -> GameSolution:
+    def _solve(self) -> _Certified:
         """One solve of the model as it stands: cold after a load, warm after growth."""
         self._highs.run()
         status = self._highs.getModelStatus()
@@ -416,7 +426,7 @@ class _GrowingGame:
         solution = self._highs.getSolution()
         x = np.asarray(solution.col_value)[self._sigma_cols]
         duals = np.asarray(solution.row_dual)[self._column_rows]
-        return _verified_solution(self.entries, x, duals)
+        return _certify(self.entries, x, duals)
 
 
 def _overtaken_at(x: np.ndarray, slope: np.ndarray, lead: int, cap: int) -> int:

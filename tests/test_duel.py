@@ -23,7 +23,7 @@ from tosg.duel import (
     solve_duel,
 )
 from tosg.errors import InputError, ResourceLimitError, SolverError
-from tosg.matrix_game import PayoffMatrix, _GrowingGame, solve_exact
+from tosg.matrix_game import PayoffMatrix, _exact_solution, _GrowingGame, solve_exact
 
 IDENT = AccuracyFunction.identity()
 ONE_SHOT = DuelSpec(1, 1, IDENT, IDENT)
@@ -101,6 +101,52 @@ def sampled_duels(draw):
     x = draw(st.lists(volley_times, min_size=spec.m, max_size=spec.m))
     y = draw(st.lists(volley_times, min_size=spec.n, max_size=spec.n))
     return spec, sorted(x), sorted(y)
+
+
+def best_response_reference(
+    opp_alive: np.ndarray, opp_fire: np.ndarray, hit: np.ndarray, shots: int
+) -> tuple[float, tuple[int, ...]]:
+    """The reference for _best_response: the recurrence vectorised over shots, one grid step at a time."""
+    grid_n = hit.shape[0]
+    value = np.full(shots + 1, -np.inf)
+    value[0] = 0.0
+    fires = np.zeros((grid_n, shots + 1), dtype=bool)
+    for g in range(grid_n - 1, -1, -1):
+        top = min(shots, grid_n - g)
+        hold = value[: top + 1] - opp_fire[g]
+        fire = hit[g] * opp_alive[g] - opp_fire[g] + (1.0 - hit[g]) * value[:top]
+        fires[g, 1 : top + 1] = fire > hold[1:]
+        value[0] = hold[0]
+        value[1 : top + 1] = np.maximum(hold[1:], fire)
+    subset, left = [], shots
+    for g in range(grid_n):
+        if left and fires[g, left]:
+            subset.append(g)
+            left -= 1
+    return float(value[shots]), tuple(subset)
+
+
+# Tenths and signed zeros make fire and hold tie; 1.0 is a sure hit.
+tie_values = st.one_of(
+    st.integers(0, 10).map(lambda i: i / 10), st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def best_response_cases(draw):
+    grid_n = draw(st.integers(2, 40))
+    shots = draw(st.integers(1, min(grid_n, 8)))
+    values = st.lists(tie_values, min_size=grid_n, max_size=grid_n).map(np.array)
+    sure_from = st.integers(0, grid_n - 1)
+    hit = draw(
+        st.one_of(
+            values,
+            st.just(_hits(DuelSpec(1, 1, SURE_EARLY, SURE_EARLY), grid_n)[1]),
+            st.tuples(values, sure_from).map(lambda c: np.where(np.arange(grid_n) < c[1], c[0], 1.0)),
+        )
+    )
+    profiles = st.one_of(st.just(np.zeros(grid_n)), values, values.map(lambda v: np.round(v, 1)))
+    return draw(profiles), draw(profiles), hit, shots
 
 
 class TestAccuracyFunction:
@@ -339,6 +385,32 @@ class TestBestResponse:
         ]:
             self.check_against_brute_force(spec, 9, sigma, tau)
 
+    @settings(max_examples=300, deadline=None)
+    @given(best_response_cases())
+    @example((np.zeros(5), np.zeros(5), np.linspace(0.0, 1.0, 5), 5))  # shots == grid_n
+    @example((np.array([0.3, 0.1]), np.array([0.1, 0.0]), np.array([0.0, 1.0]), 1))
+    @example((np.array([0.5, 0.5]), np.array([0.0, -0.0]), np.array([1.0, 1.0]), 2))
+    def test_matches_the_vectorised_recurrence(self, case):
+        expected = best_response_reference(*case)
+        gain, subset = _best_response(*case)
+        assert (gain, subset) == expected
+        assert math.copysign(1.0, gain) == math.copysign(1.0, expected[0])
+
+    def test_table_is_one_byte_per_cell(self):
+        # The profiles are read in place and each (g, k) choice takes one
+        # byte: no boxed float per grid point, no float table.
+        grid_n, shots = 50_000, 6
+        hit = np.linspace(0.0, 1.0, grid_n)
+        alive = 1.0 - 0.5 * hit
+        fire = 0.1 * alive * hit
+        tracemalloc.start()
+        try:
+            _best_response(alive, fire, hit, shots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grid_n * (shots + 1)
+
 
 class TestSolveDuel:
     def test_symmetric_one_shot_desk_scale(self):
@@ -401,6 +473,26 @@ class TestSolveDuel:
         assert solution.support_p1 == pytest.approx((0.2, 1.0), abs=1e-12)
         assert solution.support_p2 == pytest.approx((0.1, 1.0), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "grid_n,rounds,value",
+        [(21, 29, -0.4729288409874951), (41, 66, -0.49231379157902144), (81, 152, -0.4936401803344723)],
+    )
+    def test_two_versus_six_double_oracle_path(self, monkeypatch, grid_n, rounds, value):
+        # The round count and the value's bits pin the path the double
+        # oracle takes: a best response that breaks a tie the other way adds
+        # different subsets, which a 1e-9 value check would not show.
+        solve = _GrowingGame.solve
+        calls = []
+
+        def counted(model):
+            calls.append(model.entries.shape)
+            return solve(model)
+
+        monkeypatch.setattr(_GrowingGame, "solve", counted)
+        solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), grid_n)
+        assert len(calls) == rounds
+        assert solution.value == value
+
     def test_two_versus_six_past_the_pair_cap(self):
         spec = DuelSpec(2, 6, IDENT, IDENT)
         assert refusal_peak(discretize_duel, spec, 81) < 1 << 20
@@ -437,20 +529,22 @@ class TestSolveDuel:
             if len(model._sigma_cols) + len(model._column_rows) > model._v_col + model._sum_row:
                 failed.append(model.entries.shape)
                 raise SolverError("warm solve not certified")
-            solution = cold_solve(model)
-            reloaded.append((model.entries, solution))
-            return solution
+            certified = cold_solve(model)
+            reloaded.append((model.entries, certified))
+            return certified
 
         monkeypatch.setattr(_GrowingGame, "_solve", warm_solve_fails)
         solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
         monkeypatch.undo()
         assert failed
         assert len(reloaded) == len(failed) + 1  # the seed game's first solve is cold too
-        for entries, restricted in reloaded:
+        for entries, certified in reloaded:
+            sigma, tau, _, _ = certified
+            restricted = _exact_solution(*certified)
             exact = solve_exact(PayoffMatrix(entries))
             assert (restricted.value, restricted.residual) == (exact.value, exact.residual)
-            assert np.array_equal(restricted.row_strategy.weights, exact.row_strategy.weights)
-            assert np.array_equal(restricted.col_strategy.weights, exact.col_strategy.weights)
+            assert np.array_equal(sigma, exact.row_strategy.weights)
+            assert np.array_equal(tau, exact.col_strategy.weights)
         assert abs(solution.value - -0.47292884098749355) <= 1e-9
         assert solution.residual <= 1e-9
 
