@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InputError, SolverError
 from .matrix_game import (
     DUST_TOL,
+    MAX_STRATEGY_PAIRS,
     SADDLE_TOL,
     MixedStrategy,
     PayoffMatrix,
@@ -317,6 +318,55 @@ def _profiles(subsets: np.ndarray, hit: np.ndarray, grid_n: int) -> tuple[np.nda
     return alive, alive * (hit[None, :] * incidence)
 
 
+class _SubsetProfiles:
+    """One player's subsets in a growing restricted game, with their profiles.
+
+    ``alive`` and ``fire`` are those of _profiles over ``subsets``: views of
+    the rows in use of two arrays that double when full, up to the rows
+    guard_cells admits on the grid, so adding a subset copies no earlier
+    row.  A new subset's rows are a running product over its shots, with
+    the float operations of _profiles in its order, so they equal its rows
+    bit for bit.
+    """
+
+    def __init__(self, subsets: list[tuple[int, ...]], hit: np.ndarray):
+        self.subsets = subsets
+        self._hit = hit
+        self._alive, self._fire = _profiles(np.array(subsets), hit, hit.shape[0])
+
+    @property
+    def alive(self) -> np.ndarray:
+        return self._alive[: len(self.subsets)]
+
+    @property
+    def fire(self) -> np.ndarray:
+        return self._fire[: len(self.subsets)]
+
+    def add(self, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Append a sorted subset; return its alive and fire rows."""
+        used, grid_n = len(self.subsets), self._hit.shape[0]
+        if used == self._alive.shape[0]:
+            rows = min(2 * used, MAX_STRATEGY_PAIRS // grid_n)
+            self._alive, self._fire = (
+                np.concatenate([stack, np.empty((rows - used, grid_n))]) for stack in (self._alive, self._fire)
+            )
+        self.subsets.append(subset)
+        alive, fire = self._alive[used], self._fire[used]
+        # _profiles multiplies alive by 1 - hit after each shot, and by 1
+        # (exactly) elsewhere; off the shots, fire is alive * (hit * 0) =
+        # hit * 0, since alive >= 0.
+        hit = memoryview(self._hit)
+        np.multiply(self._hit, 0.0, out=fire)
+        left, survive = 0, 1.0
+        for g in subset:
+            alive[left : g + 1] = survive
+            fire[g] = survive * hit[g]
+            survive *= 1.0 - hit[g]
+            left = g + 1
+        alive[left:] = survive
+        return alive, fire
+
+
 def discretize_duel(spec: DuelSpec, grid_n: int) -> PayoffMatrix:
     """Payoff matrix over all sorted shot-time subsets of a uniform grid.
 
@@ -453,35 +503,30 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     # The seed sizes of _seed_subsets, checked before the seeds are built.
     _guard_restricted(*(grid_n if k == 1 else 1 for k in (spec.m, spec.n)), grid_n)
     grid, p_hit, q_hit = _hits(spec, grid_n)
-    rows, cols = _seed_subsets(grid_n, spec.m), _seed_subsets(grid_n, spec.n)
-    row_alive, row_fire = _profiles(np.array(rows), p_hit, grid_n)
-    col_alive, col_fire = _profiles(np.array(cols), q_hit, grid_n)
-    model = _GrowingGame(row_fire @ col_alive.T - row_alive @ col_fire.T)
+    rows = _SubsetProfiles(_seed_subsets(grid_n, spec.m), p_hit)
+    cols = _SubsetProfiles(_seed_subsets(grid_n, spec.n), q_hit)
+    model = _GrowingGame(rows.fire @ cols.alive.T - rows.alive @ cols.fire.T)
     while True:
         sigma, tau, _, _ = model.solve()
-        col_gain, col_best = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
-        upper, row_best = _best_response(tau @ col_alive, tau @ col_fire, p_hit, spec.m)
+        col_gain, col_best = _best_response(sigma @ rows.alive, sigma @ rows.fire, q_hit, spec.n)
+        upper, row_best = _best_response(tau @ cols.alive, tau @ cols.fire, p_hit, spec.m)
         lower = -col_gain
         gap = max(upper - lower, 0.0)
         if gap <= SADDLE_TOL:
             break
-        new_row, new_col = row_best not in rows, col_best not in cols
+        new_row, new_col = row_best not in rows.subsets, col_best not in cols.subsets
         if not (new_row or new_col):
             raise SolverError(f"double oracle stalled at verified gap {gap:.3e} above {SADDLE_TOL:.3e}")
-        _guard_restricted(len(rows) + new_row, len(cols) + new_col, grid_n)
+        _guard_restricted(len(rows.subsets) + new_row, len(cols.subsets) + new_col, grid_n)
         if new_row:
-            rows.append(row_best)
-            alive, fire = _profiles(np.array([row_best]), p_hit, grid_n)
-            model.add_row(fire[0] @ col_alive.T - alive[0] @ col_fire.T)
-            row_alive, row_fire = np.vstack([row_alive, alive]), np.vstack([row_fire, fire])
+            alive, fire = rows.add(row_best)
+            model.add_row(fire @ cols.alive.T - alive @ cols.fire.T)
         if new_col:
-            cols.append(col_best)
-            alive, fire = _profiles(np.array([col_best]), q_hit, grid_n)
-            model.add_col(row_fire @ alive[0] - row_alive @ fire[0])
-            col_alive, col_fire = np.vstack([col_alive, alive]), np.vstack([col_fire, fire])
+            alive, fire = cols.add(col_best)
+            model.add_col(rows.fire @ alive - rows.alive @ fire)
 
-    p1 = _time_marginal(sigma, np.array(rows), grid_n, spec.m)
-    p2 = _time_marginal(tau, np.array(cols), grid_n, spec.n)
+    p1 = _time_marginal(sigma, np.array(rows.subsets), grid_n, spec.m)
+    p2 = _time_marginal(tau, np.array(cols.subsets), grid_n, spec.n)
     return DuelSolution(
         value=0.5 * (lower + upper),
         p1_density=MixedStrategy(p1),

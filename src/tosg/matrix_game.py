@@ -8,7 +8,11 @@ computed from the returned strategies, never from solver-internal objectives.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
+import os
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -302,6 +306,43 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
     return _exact_solution(*_GrowingGame(game.entries)._solve())
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's HiGHS extension module, loaded without scipy.optimize.
+
+    ``from scipy.optimize._highspy import _core`` first runs
+    scipy.optimize's ``__init__``, which imports about 320 scipy modules
+    (sparse and linalg among them): about 0.45 s and 44 MB, where the model
+    needs this one file.  So only the top-level scipy package is imported
+    (about 12 ms; it runs scipy's distributor hook), and the extension is
+    loaded from its file and registered under its own name.  A later
+    ``import scipy.optimize`` finds it in sys.modules and reuses the same
+    module, so the binding is never initialised twice; a process that
+    imported scipy.optimize first gets that module here.  A missing or
+    unloadable file raises SolverError.
+    """
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
+    import scipy
+
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    unloadable = f"cannot load HiGHS's _core extension from {folder}; tosg needs scipy 1.17.x"
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [folder])
+    if spec is None:
+        raise SolverError(unloadable)
+    try:
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = core
+        spec.loader.exec_module(core)
+    except ImportError:
+        sys.modules.pop(_HIGHS_CORE, None)
+        raise SolverError(unloadable) from None
+    return core
+
+
 class _GrowingGame:
     """A game's row LP in one HiGHS model that can grow with the game.
 
@@ -321,15 +362,13 @@ class _GrowingGame:
     the grown matrix and returns its (sigma, tau, lower, upper), with no
     GameSolution built.  This drives HiGHS through scipy's private
     ``_highspy`` binding, whose methods scipy may change between minor
-    releases (pyproject pins it).  scipy is imported here, on the first
-    model a process builds, and not with tosg: importing scipy.optimize
-    takes about 0.45 s, several times the CLI's solves.
+    releases (pyproject pins it).  The binding is loaded on the first
+    model a process builds, and not with tosg, by _highs_core: the
+    extension file alone, without scipy.optimize, about 0.02 s.
     """
 
     def __init__(self, entries: np.ndarray):
-        from scipy.optimize._highspy import _core
-
-        self._core = _core
+        self._core = _core = _highs_core()
         self._highs = _core._Highs()
         options = {
             "simplex_strategy": _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,

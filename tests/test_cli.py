@@ -1,6 +1,7 @@
 import argparse
 import copy
 import functools
+import importlib.machinery
 import json
 import math
 import operator
@@ -419,19 +420,60 @@ STARTUP_PROBE = """
 import contextlib, io, json, sys
 import tosg.cli
 
-steps = [["import tosg.cli", 0, "scipy" in sys.modules, "scipy.optimize" in sys.modules]]
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+steps = [["import tosg.cli", 0, scipy_modules()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = tosg.cli.main(argv)
-    steps.append([argv[0], code, "scipy" in sys.modules, "scipy.optimize" in sys.modules])
+    steps.append([argv[0], code, scipy_modules()])
 print(json.dumps(steps))
 """
+
+# solve-matrix's output with scipy.optimize imported after tosg's first solve
+# ("tosg-first") or before it ("scipy-first"), and whether both paths share
+# one HiGHS extension module.
+IMPORT_ORDER_PROBE = """
+import contextlib, io, json, sys
+import tosg.cli
+from tosg.matrix_game import _highs_core
+
+order, path = sys.argv[1:]
+if order == "scipy-first":
+    import scipy.optimize
+    loaded = sys.modules["scipy.optimize._highspy._core"]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = tosg.cli.main(["solve-matrix", path])
+if order == "tosg-first":
+    loaded = sys.modules["scipy.optimize._highspy._core"]
+    assert "scipy.optimize" not in sys.modules
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+from scipy.optimize._highspy._highs_wrapper import _h
+lp = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+print(json.dumps({
+    "code": code,
+    "output": out.getvalue(),
+    "shared": _highs_core() is loaded and _core is loaded and _h is loaded,
+    "linprog": [lp.status, lp.fun],
+}))
+"""
+
+
+def run_probe(*args: str) -> subprocess.CompletedProcess:
+    """Run python -c args in a fresh interpreter that imports tosg from this checkout."""
+    src = str(Path(tosg.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestStartup:
     def test_scipy_loads_only_with_the_first_lp(self, tmp_path):
-        # Importing scipy.optimize takes several times as long as these
-        # commands' work, so only an exact solve may load it.  The exact
+        # Only an exact solve may load scipy, and then only the top-level
+        # package and HiGHS's extension: scipy.optimize's __init__ loads
+        # about 320 modules, several times these commands' work.  The exact
         # solve runs last, as the control that the probe sees scipy at all.
         argvs = [["--version"]]
         for name in (
@@ -442,18 +484,48 @@ class TestStartup:
             if document is not None:
                 flags.insert(0, write(tmp_path, name, document))
             argvs.append([command, *flags])
-        src = str(Path(tosg.cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = subprocess.run(
-            [sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        probe = run_probe(STARTUP_PROBE, json.dumps(argvs))
         assert probe.returncode == 0, probe.stderr
         steps = json.loads(probe.stdout)
-        assert [step for step, code, _, _ in steps if code != 0] == []
-        *lean, exact = steps
-        assert [step for step, _, scipy, _ in lean if scipy] == []
-        assert exact[0] == "solve-matrix" and exact[3]
+        assert [step for step, code, _ in steps if code != 0] == []
+        *lean, (command, _, loaded) = steps
+        assert [step for step, _, scipy in lean if scipy] == []
+        assert command == "solve-matrix"
+        core = "scipy.optimize._highspy._core"
+        assert core in loaded
+        # The extension registers its own submodules (cb, simplex_constants).
+        others = [name for name in loaded if not name.startswith(core)]
+        assert [name for name in others if name.startswith("scipy.optimize")] == []
+        assert len(others) <= 12, others
+
+    @pytest.mark.parametrize("order", ["tosg-first", "scipy-first"])
+    def test_scipy_optimize_shares_the_extension(self, tmp_path, order):
+        # Either import order leaves one HiGHS module, which linprog drives too.
+        path = write(tmp_path, "matrix.json", MATRIX)
+        probe = run_probe(IMPORT_ORDER_PROBE, order, path)
+        assert probe.returncode == 0, probe.stderr
+        result = json.loads(probe.stdout)
+        assert result["code"] == 0
+        assert result["output"] == (DATA / "cli" / "solve-matrix-exact.json").read_text()
+        assert result["shared"]
+        assert result["linprog"] == [0, 1.0]
+
+    @pytest.mark.parametrize("junk", [False, True], ids=["no-file", "unloadable-file"])
+    def test_missing_extension_is_exit_one_with_one_line(self, tmp_path, junk):
+        # A scipy whose HiGHS extension is absent, or not a loadable library.
+        path = write(tmp_path, "matrix.json", MATRIX)
+        root = tmp_path / "scipy"
+        folder = root / "optimize" / "_highspy"
+        folder.mkdir(parents=True)
+        if junk:
+            (folder / f"_core{importlib.machinery.EXTENSION_SUFFIXES[0]}").write_bytes(b"not a library")
+        probe = run_probe(
+            "import sys, scipy, tosg.cli; scipy.__path__[:] = [sys.argv[1]]; sys.exit(tosg.cli.main(sys.argv[2:]))",
+            str(root), "solve-matrix", path,
+        )
+        assert probe.returncode == 1
+        assert probe.stdout == ""
+        assert probe.stderr == f"error: cannot load HiGHS's _core extension from {folder}; tosg needs scipy 1.17.x\n"
 
 
 class TestCliContract:

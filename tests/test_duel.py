@@ -12,6 +12,7 @@ from tosg.duel import (
     DuelSpec,
     TimeVector,
     _SIM_CHUNK,
+    _SubsetProfiles,
     _best_response,
     _hits,
     _profiles,
@@ -410,6 +411,35 @@ class TestBestResponse:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * grid_n * (shots + 1)
+
+
+@st.composite
+def subset_profile_cases(draw):
+    grid_n = draw(st.integers(1, 30))
+    shots = draw(st.integers(1, min(grid_n, 6)))
+    hit = draw(st.lists(tie_values, min_size=grid_n, max_size=grid_n).map(np.array))
+    subset = st.sets(st.integers(0, grid_n - 1), min_size=shots, max_size=shots).map(lambda s: tuple(sorted(s)))
+    return hit, draw(st.lists(subset, min_size=1, max_size=12))
+
+
+class TestSubsetProfiles:
+    @settings(max_examples=200, deadline=None)
+    @given(subset_profile_cases())
+    @example((np.array([1.0, 0.0, -0.0, 1.0]), [(0, 3), (1, 2), (0, 1), (2, 3), (0, 2)]))
+    def test_rows_equal_profiles_bit_for_bit(self, case):
+        hit, subsets = case
+        grid_n = hit.shape[0]
+        profiles = _SubsetProfiles(subsets[:1], hit)
+        for subset in subsets[1:]:
+            alive, fire = profiles.add(subset)
+            expected_alive, expected_fire = _profiles(np.array([subset]), hit, grid_n)
+            assert alive.tobytes() == expected_alive[0].tobytes()
+            assert fire.tobytes() == expected_fire[0].tobytes()
+        # The grown stacks hold every row, the seed's included.
+        expected_alive, expected_fire = _profiles(np.array(subsets), hit, grid_n)
+        assert profiles.subsets == subsets
+        assert profiles.alive.tobytes() == expected_alive.tobytes()
+        assert profiles.fire.tobytes() == expected_fire.tobytes()
 
 
 class TestSolveDuel:

@@ -1,4 +1,5 @@
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tosg.matrix_game import (
     PayoffMatrix,
     _GrowingGame,
     _exact_solution,
+    _highs_core,
     expected_payoff,
     saddle_bounds,
     solve_exact,
@@ -263,9 +265,14 @@ class TestGrowingGame:
     def test_private_highs_api_is_present(self):
         # _GrowingGame drives scipy's private HiGHS binding, which may change
         # between scipy minor releases; pyproject pins the series this matches.
-        # The binding is imported on the first solve, so a renamed name would
-        # otherwise show only there.
-        from scipy.optimize._highspy import _core
+        # The binding is loaded on the first solve, from the extension file
+        # where _highs_core expects it, so a renamed name or a moved file
+        # would otherwise show only there.
+        import scipy
+
+        _core = _highs_core()
+        assert _core.__name__ == "scipy.optimize._highspy._core"
+        assert Path(_core.__file__).parent == Path(scipy.__path__[0], "optimize", "_highspy")
 
         methods = (
             "setOptionValue", "passModel", "addCol", "addRow", "getNumCol", "getNumRow",
