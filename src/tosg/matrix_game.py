@@ -8,6 +8,8 @@ computed from the returned strategies, never from solver-internal objectives.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import importlib.machinery
 import importlib.util
 import json
@@ -309,6 +311,7 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
+@functools.cache
 def _highs_core():
     """scipy's HiGHS extension module, loaded without scipy.optimize.
 
@@ -317,11 +320,14 @@ def _highs_core():
     (sparse and linalg among them): about 0.45 s and 44 MB, where the model
     needs this one file.  So only the top-level scipy package is imported
     (about 12 ms; it runs scipy's distributor hook), and the extension is
-    loaded from its file and registered under its own name.  A later
-    ``import scipy.optimize`` finds it in sys.modules and reuses the same
-    module, so the binding is never initialised twice; a process that
-    imported scipy.optimize first gets that module here.  A missing or
-    unloadable file raises SolverError.
+    loaded from its file and cached here, not registered in sys.modules:
+    registered before its parent package exists, it would leave
+    ``scipy.optimize._highspy`` without a ``_core`` attribute once a caller
+    imported scipy.optimize.  The extension is initialised once per
+    process, so such a later import gets this very module object, in
+    either import order (checked on CPython 3.11 with scipy 1.17); a
+    process that imported scipy.optimize first gets that module here.  A
+    missing or unloadable file raises SolverError.
     """
     core = sys.modules.get(_HIGHS_CORE)
     if core is not None:
@@ -335,10 +341,8 @@ def _highs_core():
         raise SolverError(unloadable)
     try:
         core = importlib.util.module_from_spec(spec)
-        sys.modules[_HIGHS_CORE] = core
         spec.loader.exec_module(core)
     except ImportError:
-        sys.modules.pop(_HIGHS_CORE, None)
         raise SolverError(unloadable) from None
     return core
 
@@ -351,7 +355,11 @@ class _GrowingGame:
     leaves a game of such entries short of the saddle contract, so the
     model keeps every entry above 1e-12, the least HiGHS accepts.  A new
     game row is a new LP column and a new game column a new ``<= 0`` LP
-    row; HiGHS keeps its basis across the changes, so each later solve is a
+    row, appended after _load's v column and sum row.  So the LP positions
+    follow from the layout, with no index kept: game row i is LP column
+    ``i + (i >= _v_col)``, game column j is LP row ``j + (j >= _sum_row)``,
+    and a solution is read by dropping the v column and the sum row.
+    HiGHS keeps its basis across the changes, so each later solve is a
     warm-started dual simplex.  A cold solve, the first after a load, runs
     without presolve: on a dense game it removes nothing, and skipping it
     takes the 201-point timing LP from about 35 to 26 ms and the 801-point
@@ -412,30 +420,23 @@ class _GrowingGame:
         if status == self._core.HighsStatus.kError:
             raise SolverError("HiGHS refused the game's row LP")
         self._highs.setOptionValue("presolve", "off")
-        # LP column of each game row's weight, and LP row of each game column.
-        self._sigma_cols = list(range(m))
-        self._column_rows = list(range(n))
         self._v_col, self._sum_row = m, n
 
     def add_row(self, payoffs: np.ndarray) -> None:
         """Append a game row: its payoff against every current column."""
         payoffs = np.asarray(payoffs, dtype=float)
         self.entries = np.vstack([self.entries, payoffs])
-        nonzero = payoffs != 0.0
-        rows = np.append(np.array(self._column_rows)[nonzero], self._sum_row)
-        values = np.append(-payoffs[nonzero], 1.0)
-        self._sigma_cols.append(self._highs.getNumCol())
-        self._add(self._highs.addCol(0.0, 0.0, np.inf, len(rows), rows.astype(np.int32), values))
+        at = np.flatnonzero(payoffs)
+        rows = np.append(at + (at >= self._sum_row), self._sum_row).astype(np.int32)
+        self._add(self._highs.addCol(0.0, 0.0, np.inf, len(rows), rows, np.append(-payoffs[at], 1.0)))
 
     def add_col(self, payoffs: np.ndarray) -> None:
         """Append a game column: every current row's payoff against it."""
         payoffs = np.asarray(payoffs, dtype=float)
         self.entries = np.column_stack([self.entries, payoffs])
-        nonzero = payoffs != 0.0
-        cols = np.append(np.array(self._sigma_cols)[nonzero], self._v_col)
-        values = np.append(-payoffs[nonzero], 1.0)
-        self._column_rows.append(self._highs.getNumRow())
-        self._add(self._highs.addRow(-np.inf, 0.0, len(cols), cols.astype(np.int32), values))
+        at = np.flatnonzero(payoffs)
+        cols = np.append(at + (at >= self._v_col), self._v_col).astype(np.int32)
+        self._add(self._highs.addRow(-np.inf, 0.0, len(cols), cols, np.append(-payoffs[at], 1.0)))
 
     def _add(self, status) -> None:
         if status == self._core.HighsStatus.kError:
@@ -463,9 +464,9 @@ class _GrowingGame:
         if status != self._core.HighsModelStatus.kOptimal:
             raise SolverError(f"row LP failed: {self._highs.modelStatusToString(status)}")
         solution = self._highs.getSolution()
-        x = np.asarray(solution.col_value)[self._sigma_cols]
-        duals = np.asarray(solution.row_dual)[self._column_rows]
-        return _certify(self.entries, x, duals)
+        x, duals = solution.col_value, solution.row_dual
+        v, s = self._v_col, self._sum_row
+        return _certify(self.entries, np.array(x[:v] + x[v + 1 :]), np.array(duals[:s] + duals[s + 1 :]))
 
 
 def _overtaken_at(x: np.ndarray, slope: np.ndarray, lead: int, cap: int) -> int:
@@ -487,13 +488,7 @@ def _overtaken_at(x: np.ndarray, slope: np.ndarray, lead: int, cap: int) -> int:
 
 def _first(lo: int, hi: int, holds) -> int:
     """The least s in [lo, hi) where holds(s), else hi; holds(s) stays true once it is true."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return lo + bisect.bisect_left(range(lo, hi), True, key=holds)
 
 
 # Overflow surfaces as a non-finite payoff sum or bracket, which raises SolverError.

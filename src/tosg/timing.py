@@ -265,13 +265,11 @@ def spectrum(
     return kernel.grid[idx], has_zero_atom
 
 
-def spectrum_in_basic_interval(
-    kernel: TimingKernel, strategy: MixedStrategy, atom_tol: float = DUST_TOL
-) -> bool | None:
+def spectrum_in_basic_interval(kernel: TimingKernel, strategy: MixedStrategy) -> bool | None:
     """Advisory check that the spectrum lies in [b, 1], b the first point
     where A(x, x) turns nonnegative.  None when b is undefined."""
     b = kernel.basic_interval_start()
     if b is None:
         return None
-    points, _ = spectrum(strategy, kernel, atom_tol)
+    points, _ = spectrum(strategy, kernel)
     return bool(points.size == 0 or points.min() >= b)

@@ -555,8 +555,8 @@ class TestSolveDuel:
         failed, reloaded = [], []
 
         def warm_solve_fails(model):
-            # Grown since the last load: add_row and add_col append past _load's v column and sum row.
-            if len(model._sigma_cols) + len(model._column_rows) > model._v_col + model._sum_row:
+            # Grown since the last load, whose game shape _load's v column and sum row record.
+            if model.entries.shape != (model._v_col, model._sum_row):
                 failed.append(model.entries.shape)
                 raise SolverError("warm solve not certified")
             certified = cold_solve(model)

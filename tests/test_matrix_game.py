@@ -275,7 +275,7 @@ class TestGrowingGame:
         assert Path(_core.__file__).parent == Path(scipy.__path__[0], "optimize", "_highspy")
 
         methods = (
-            "setOptionValue", "passModel", "addCol", "addRow", "getNumCol", "getNumRow",
+            "setOptionValue", "passModel", "addCol", "addRow",
             "run", "getModelStatus", "modelStatusToString", "getSolution",
         )
         for method in methods:
