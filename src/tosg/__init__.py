@@ -50,8 +50,6 @@ from .matrix_game import (
     GameSolution,
     MixedStrategy,
     PayoffMatrix,
-    expected_payoff,
-    saddle_bounds,
     solve_exact,
     solve_fictitious_play,
 )
@@ -61,14 +59,11 @@ from .timing import (
     BoundaryClass,
     TimingKernel,
     TimingSolution,
-    ValidationReport,
     build_kernel,
     classify_boundary,
     kernel_from_spec,
     solve_timing,
     spectrum,
-    spectrum_in_basic_interval,
-    validate_kernel,
     verify_optimality,
 )
 

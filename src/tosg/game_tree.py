@@ -87,14 +87,6 @@ class GameTree:
             return cls.chance(children, _field(doc, "probs", what, list))
         return cls(kind, children=children)
 
-    def to_dict(self) -> dict:
-        if self.kind == "leaf":
-            return {"kind": "leaf", "payoff": self.payoff}
-        doc = {"kind": self.kind, "children": [c.to_dict() for c in self.children]}
-        if self.kind == "chance":
-            doc["probs"] = list(self.probs)
-        return doc
-
 
 def evaluate_tree(tree: GameTree) -> float:
     """Backward-induction value: max/min over choices, expectation at chance."""

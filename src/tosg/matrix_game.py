@@ -161,9 +161,6 @@ class PayoffMatrix:
                 raise InputError(f"declared {key}={declared} does not match entries")
         return game
 
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": self.entries.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
@@ -187,16 +184,6 @@ class MixedStrategy:
     def __len__(self) -> int:
         return self.weights.shape[0]
 
-    @classmethod
-    def pure(cls, index: int, size: int) -> "MixedStrategy":
-        w = np.zeros(size)
-        w[index] = 1.0
-        return cls(w)
-
-    @classmethod
-    def uniform(cls, size: int) -> "MixedStrategy":
-        return cls(np.full(size, 1.0 / size))
-
 
 @dataclass(frozen=True)
 class GameSolution:
@@ -216,26 +203,6 @@ class GameSolution:
     @property
     def upper(self) -> float:
         return self.value + 0.5 * self.residual
-
-
-def _check_dims(game: PayoffMatrix, sigma: MixedStrategy, tau: MixedStrategy) -> None:
-    if len(sigma) != game.rows:
-        raise InputError(f"row strategy has {len(sigma)} weights for {game.rows} rows")
-    if len(tau) != game.cols:
-        raise InputError(f"column strategy has {len(tau)} weights for {game.cols} columns")
-
-
-def expected_payoff(game: PayoffMatrix, sigma: MixedStrategy, tau: MixedStrategy) -> float:
-    """Bilinear payoff sum(sigma_i * tau_j * entries[i, j])."""
-    _check_dims(game, sigma, tau)
-    return float(sigma.weights @ game.entries @ tau.weights)
-
-
-def saddle_bounds(game: PayoffMatrix) -> tuple[float, float]:
-    """Pure-strategy security levels (maximin, minimax); maximin <= minimax."""
-    maximin = float(game.entries.min(axis=1).max())
-    minimax = float(game.entries.max(axis=0).min())
-    return maximin, minimax
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:
@@ -301,11 +268,13 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
         payoff(any pure row, tau*) <= value + residual
 
     holds by construction; _certify states the skew-symmetric rule and
-    raises SolverError on a gap above SADDLE_TOL.  The solve is not
-    retried: a reload would solve the same LP again.  Being cold, it runs
-    without presolve (see _GrowingGame).
+    raises SolverError on a gap above SADDLE_TOL.  Being cold, the solve
+    runs without presolve (see _GrowingGame); one that HiGHS does not
+    finish, or that falls short of SADDLE_TOL, is recovered as
+    _GrowingGame._solve_cold describes, so a game that solves at once keeps
+    its bits.
     """
-    return _exact_solution(*_GrowingGame(game.entries)._solve())
+    return _exact_solution(*_GrowingGame(game.entries)._solve_cold())
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -350,7 +319,8 @@ def _highs_core():
 class _GrowingGame:
     """A game's row LP in one HiGHS model that can grow with the game.
 
-    solve_exact is one cold solve of a fresh model.  HiGHS drops matrix
+    solve_exact is one cold solve of a fresh model, with _solve_cold's
+    recovery if HiGHS does not finish it.  HiGHS drops matrix
     entries at or below ``small_matrix_value``, 1e-9 by default, which
     leaves a game of such entries short of the saddle contract, so the
     model keeps every entry above 1e-12, the least HiGHS accepts.  A new
@@ -390,19 +360,20 @@ class _GrowingGame:
             self._highs.setOptionValue(key, value)
         self._load(np.asarray(entries, dtype=float))
 
-    def _load(self, a: np.ndarray) -> None:
-        """Replace the model, basis included, by the row LP of game ``a``.
+    def _load(self, a: np.ndarray, shift: float = 0.0) -> None:
+        """Replace the model, basis included, by the row LP of game ``a + shift``.
 
         The LP matrix is column-wise: LP column i holds game row i's payoffs
         negated in the ``<= 0`` rows and a 1 in the sum row, and the v
         column holds a 1 in every ``<= 0`` row.  Exact zeros are left out,
         as a sparse matrix built from the dense layout leaves them out.
-        The next solve runs without presolve; add_row and add_col turn it
-        back on.
+        ``entries`` stays ``a``, which every solve is certified against, and
+        add_row and add_col shift their payoffs alike.  The next solve runs
+        without presolve; add_row and add_col turn it back on.
         """
         m, n = a.shape
-        self.entries = a
-        body = np.column_stack([-a, np.ones(m)])
+        self.entries, self._shift = a, shift
+        body = np.column_stack([-a - shift, np.ones(m)])
         keep = body != 0.0
         start = np.zeros(m + 2, dtype=np.int32)
         start[1:] = np.cumsum(np.append(keep.sum(axis=1), n))
@@ -426,17 +397,19 @@ class _GrowingGame:
         """Append a game row: its payoff against every current column."""
         payoffs = np.asarray(payoffs, dtype=float)
         self.entries = np.vstack([self.entries, payoffs])
-        at = np.flatnonzero(payoffs)
+        lp = -payoffs - self._shift
+        at = np.flatnonzero(lp)
         rows = np.append(at + (at >= self._sum_row), self._sum_row).astype(np.int32)
-        self._add(self._highs.addCol(0.0, 0.0, np.inf, len(rows), rows, np.append(-payoffs[at], 1.0)))
+        self._add(self._highs.addCol(0.0, 0.0, np.inf, len(rows), rows, np.append(lp[at], 1.0)))
 
     def add_col(self, payoffs: np.ndarray) -> None:
         """Append a game column: every current row's payoff against it."""
         payoffs = np.asarray(payoffs, dtype=float)
         self.entries = np.column_stack([self.entries, payoffs])
-        at = np.flatnonzero(payoffs)
+        lp = -payoffs - self._shift
+        at = np.flatnonzero(lp)
         cols = np.append(at + (at >= self._v_col), self._v_col).astype(np.int32)
-        self._add(self._highs.addRow(-np.inf, 0.0, len(cols), cols, np.append(-payoffs[at], 1.0)))
+        self._add(self._highs.addRow(-np.inf, 0.0, len(cols), cols, np.append(lp[at], 1.0)))
 
     def _add(self, status) -> None:
         if status == self._core.HighsStatus.kError:
@@ -444,17 +417,39 @@ class _GrowingGame:
         self._highs.setOptionValue("presolve", "on")
 
     def solve(self) -> _Certified:
-        """Re-solve from the last basis, and once from a new model if that is not certified.
+        """Re-solve from the last basis, and from a new model if that is not certified.
 
         A warm-started solve can end short of SADDLE_TOL where a cold one
         of the same game does not, so the retry reloads the grown game and
-        solves it cold, as solve_exact does.  SolverError if neither solve
-        is optimal and certified.
+        solves it cold with _solve_cold's recovery, as solve_exact does.
+        SolverError if none of those solves is optimal and certified.
         """
         try:
             return self._solve()
         except SolverError:
             self._load(self.entries)
+            return self._solve_cold()
+
+    def _solve_cold(self) -> _Certified:
+        """The cold solve of the game just loaded, recovered if it fails.
+
+        Entries of about 1e-12 to 1e-9 beside O(1) ones can end the
+        presolve-off solve at ``Not Set`` or ``Unknown``, or short of
+        SADDLE_TOL.  Then the same model is solved again with presolve on,
+        and if that fails too, the shifted game A + 1 - min A, whose entries
+        are all at least 1, is loaded and solved cold.  Its strategies are
+        certified against A: sigma is the same under the shift, and tau
+        still comes from the duals.  Only a failed solve moves on, so a game
+        that solves at once keeps its bits.
+        """
+        try:
+            return self._solve()
+        except SolverError:
+            self._highs.setOptionValue("presolve", "on")
+        try:
+            return self._solve()
+        except SolverError:
+            self._load(self.entries, 1.0 - float(self.entries.min()))
             return self._solve()
 
     def _solve(self) -> _Certified:

@@ -45,25 +45,17 @@ CONSTRAINT_KEYS = ("pti", "tm", "gaa")
 def imbed_objective(kernel: TimingKernel, g, weight: float) -> TimingKernel:
     """Shift the kernel by the score potential weight*(g(x) - g(y)).
 
-    ``g`` is a callable on [0, 1] or an array of scores over the kernel
-    grid.  The shifted kernel is reassembled from its upper triangle, so it
-    stays exactly skew-symmetric; weight 0 or a constant score leaves the
-    kernel unchanged.
+    ``g`` holds the scores over the kernel grid.  The shifted kernel is
+    reassembled from its upper triangle, so it stays exactly
+    skew-symmetric; weight 0 or a constant score leaves the kernel
+    unchanged.
     """
     weight = float(weight)
     if not np.isfinite(weight) or weight < 0.0:
         raise InputError("imbedding weight must be finite and nonnegative")
-    try:
-        if callable(g):
-            scores = np.asarray([g(t) for t in kernel.grid], dtype=float)
-        else:
-            scores = np.asarray(g, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"score function did not produce numbers: {exc}") from None
+    scores = _as_float_array(g, "score values", 1)
     if scores.shape != kernel.grid.shape:
         raise InputError("score values must match the kernel grid")
-    if not np.all(np.isfinite(scores)):
-        raise InputError("score function must be finite on the grid")
     delta = weight * (scores[:, None] - scores[None, :])
     return TimingKernel(grid=kernel.grid, a_upper=kernel.a_upper + delta)
 

@@ -25,9 +25,6 @@ from .matrix_game import (
     solve_exact,
 )
 
-_STRICT_TOL = 1e-12
-_CONTINUITY_FACTOR = 10.0
-
 
 @dataclass(frozen=True, eq=False)
 class TimingKernel:
@@ -37,16 +34,20 @@ class TimingKernel:
     a_upper: np.ndarray  # A(x_i, x_j) for i <= j, NaN below the diagonal
 
     def __post_init__(self):
-        for name in ("grid", "a_upper"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        grid = _as_float_array(self.grid, "kernel grid", 1)
+        try:  # a_upper is NaN below the diagonal, so only its type is checked
+            a_upper = np.asarray(self.a_upper, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"a_upper is not numeric: {exc}") from None
+        for name, arr in (("grid", grid), ("a_upper", a_upper)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        n = self.grid.shape[0]
-        if self.grid.ndim != 1 or n < 3:
+        n = grid.shape[0]
+        if n < 3:
             raise InputError("kernel grid needs at least 3 points")
-        if self.grid[0] != 0.0 or self.grid[-1] != 1.0 or np.any(np.diff(self.grid) <= 0):
+        if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
             raise InputError("grid must increase strictly from 0 to 1")
-        if self.a_upper.shape != (n, n):
+        if a_upper.shape != (n, n):
             raise InputError("a_upper must be square over the grid")
 
     @cached_property
@@ -60,18 +61,6 @@ class TimingKernel:
     @property
     def grid_n(self) -> int:
         return self.grid.shape[0]
-
-    def a_at_1_1(self) -> float:
-        return float(self.a_upper[-1, -1])
-
-    def a_at_0_1(self) -> float:
-        return float(self.a_upper[0, -1])
-
-    def basic_interval_start(self) -> float | None:
-        """Smallest grid point where A(x, x) >= 0, or None if there is none."""
-        diag = np.diagonal(self.a_upper)
-        hits = np.nonzero(diag >= 0.0)[0]
-        return float(self.grid[hits[0]]) if hits.size else None
 
 
 def _evaluate_upper(a, grid: np.ndarray) -> np.ndarray:
@@ -139,45 +128,6 @@ def kernel_from_spec(doc: dict) -> TimingKernel:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Advisory structure checks on the kernel generator; solving never blocks.
-
-    The no-linear-intervals regularity condition is not observable on a
-    grid and is reported as not evaluated (None).
-    """
-
-    strictly_increasing_in_x: bool
-    strictly_decreasing_in_y: bool
-    nonneg_x_slope: bool
-    nonpos_y_slope: bool
-    continuity_proxy: bool
-    no_linear_intervals: None = None
-
-
-def validate_kernel(kernel: TimingKernel) -> ValidationReport:
-    """Check monotonicity and slope signs of A on the triangle x <= y."""
-    a = np.triu(kernel.a_upper)  # whatever lies below the diagonal is never read
-    n = kernel.grid_n
-    # Steps between neighbours that both lie on the triangle x <= y:
-    # (i, j) -> (i+1, j) needs i < j, and (i, j) -> (i, j+1) needs i <= j.
-    dx = np.diff(a, axis=0)[np.triu(np.ones((n - 1, n), dtype=bool), k=1)]
-    dy = np.diff(a, axis=1)[np.triu(np.ones((n, n - 1), dtype=bool))]
-
-    steps = np.abs(np.concatenate([dx, dy]))
-    tri = a[np.triu_indices(n)]
-    value_range = float(tri.max() - tri.min())
-    step_bound = _CONTINUITY_FACTOR * (value_range + _STRICT_TOL) / (n - 1)
-
-    return ValidationReport(
-        strictly_increasing_in_x=bool(np.all(dx > _STRICT_TOL)),
-        strictly_decreasing_in_y=bool(np.all(dy < -_STRICT_TOL)),
-        nonneg_x_slope=bool(np.all(dx >= -_STRICT_TOL)),
-        nonpos_y_slope=bool(np.all(dy <= _STRICT_TOL)),
-        continuity_proxy=bool(np.all(steps <= step_bound)),
-    )
-
-
-@dataclass(frozen=True)
 class BoundaryClass:
     """Pure-strategy classification from the generator's corner values."""
 
@@ -185,15 +135,11 @@ class BoundaryClass:
     a11: float
     a01: float
 
-    @property
-    def witness(self) -> float:
-        return self.a11 if self.label == "pure_at_1" else self.a01
-
 
 def classify_boundary(kernel: TimingKernel) -> BoundaryClass:
     """pure_at_1 if A(1,1) <= 0, else pure_at_0 if A(0,1) >= 0, else interior."""
-    a11 = kernel.a_at_1_1()
-    a01 = kernel.a_at_0_1()
+    a11 = float(kernel.a_upper[-1, -1])
+    a01 = float(kernel.a_upper[0, -1])
     if a11 <= 0.0:
         label = "pure_at_1"
     elif a01 >= 0.0:
@@ -251,25 +197,12 @@ def solve_timing(kernel: TimingKernel) -> TimingSolution:
     )
 
 
-def spectrum(
-    strategy: MixedStrategy, kernel: TimingKernel, atom_tol: float = DUST_TOL
-) -> tuple[np.ndarray, bool]:
-    """Grid points carrying mass above atom_tol, with the zero atom split off."""
-    if not atom_tol > 0:
-        raise InputError("atom_tol must be positive")
+def spectrum(strategy: MixedStrategy, kernel: TimingKernel) -> tuple[np.ndarray, bool]:
+    """Grid points carrying mass above DUST_TOL, with the zero atom split off."""
     if len(strategy) != kernel.grid_n:
         raise InputError("strategy does not match the kernel grid")
     weights = strategy.weights
-    has_zero_atom = bool(weights[0] > atom_tol)
-    idx = np.nonzero(weights[1:] > atom_tol)[0] + 1
+    has_zero_atom = bool(weights[0] > DUST_TOL)
+    idx = np.nonzero(weights[1:] > DUST_TOL)[0] + 1
     return kernel.grid[idx], has_zero_atom
 
-
-def spectrum_in_basic_interval(kernel: TimingKernel, strategy: MixedStrategy) -> bool | None:
-    """Advisory check that the spectrum lies in [b, 1], b the first point
-    where A(x, x) turns nonnegative.  None when b is undefined."""
-    b = kernel.basic_interval_start()
-    if b is None:
-        return None
-    points, _ = spectrum(strategy, kernel)
-    return bool(points.size == 0 or points.min() >= b)

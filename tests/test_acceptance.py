@@ -71,7 +71,7 @@ def test_criterion_04_optimality_conditions():
             _, eq12 = verify_optimality(kernel, MixedStrategy(raw / raw.sum()))
             assert eq12 <= 1e-12
         for index in (0, kernel.grid_n // 2, kernel.grid_n - 1):
-            _, eq12 = verify_optimality(kernel, MixedStrategy.pure(index, kernel.grid_n))
+            _, eq12 = verify_optimality(kernel, MixedStrategy(np.eye(kernel.grid_n)[index]))
             assert eq12 <= 1e-12
         for _ in range(3):
             other = random_monotone_kernel(rng, 51)
@@ -83,7 +83,7 @@ def test_criterion_04_optimality_conditions():
         eq11, _ = verify_optimality(kernel, solution.strategy)
         assert eq11 <= 1e-6
         # firing immediately does not
-        eq11_bad, _ = verify_optimality(kernel, MixedStrategy.pure(0, kernel.grid_n))
+        eq11_bad, _ = verify_optimality(kernel, MixedStrategy(np.eye(kernel.grid_n)[0]))
         assert eq11_bad > 0.1
 
 
@@ -92,13 +92,13 @@ def test_criterion_05_boundary_classification():
         rng = np.random.default_rng(5)
         for _ in range(5):
             kernel = random_monotone_kernel(rng, 51, boundary="pure_at_1")
-            assert kernel.a_at_1_1() <= 0.0
+            assert kernel.a_upper[-1, -1] <= 0.0
             assert classify_boundary(kernel).label == "pure_at_1"
             weights = solve_timing(kernel).strategy.weights
             assert weights[-1] >= 1.0 - 1e-6
         for _ in range(5):
             kernel = random_monotone_kernel(rng, 51, boundary="pure_at_0")
-            assert kernel.a_at_0_1() >= 0.0
+            assert kernel.a_upper[0, -1] >= 0.0
             assert classify_boundary(kernel).label == "pure_at_0"
             weights = solve_timing(kernel).strategy.weights
             assert weights[0] >= 1.0 - 1e-6

@@ -126,6 +126,14 @@ class TestSolveMatrix:
         assert out == ""
         assert re.fullmatch(r"error: saddle gap \S+ exceeds tol 1\.000e-09\n", err)
 
+    def test_tiny_entry_beside_an_order_one_entry_is_solved(self, tmp_path, capsys):
+        # HiGHS ends the cold solve of this game at "Not Set"; the recovery finishes it.
+        code, out, _ = run(capsys, "solve-matrix", write(tmp_path, "game.json", {"entries": [[4.0], [3.8e-12]]}))
+        assert code == 0
+        result = json.loads(out)
+        assert result["value"] == pytest.approx(4.0)
+        assert result["residual"] <= 1e-9
+
     def test_overflowing_fictitious_play_is_exit_one_with_one_line(self, tmp_path, capsys):
         # The cumulative payoffs of the second iteration pass the float64 range.
         game = {"entries": [[1e308, -1e308], [-1e308, 1e308]]}

@@ -64,10 +64,23 @@ class TestGameTree:
             GameTree.chance([GameTree.leaf(1.0), GameTree.leaf(2.0)], [1.5, -0.5])
 
     def test_json_roundtrip(self):
-        tree = example_tree(1.0, 2.0, 3.0, 4.0, 5.0)
-        again = GameTree.from_dict(tree.to_dict())
-        assert evaluate_tree(again) == evaluate_tree(tree)
-        assert again.to_dict() == tree.to_dict()
+        def leaf(payoff):
+            return {"kind": "leaf", "payoff": payoff}
+
+        doc = {
+            "kind": "min",
+            "children": [
+                {"kind": "max", "children": [leaf(1.0), leaf(2.0)]},
+                {
+                    "kind": "chance",
+                    "children": [leaf(3.0), {"kind": "max", "children": [leaf(4.0), leaf(5.0)]}],
+                    "probs": [0.5, 0.5],
+                },
+            ],
+        }
+        tree = GameTree.from_dict(doc)
+        assert tree == example_tree(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert evaluate_tree(tree) == evaluate_tree(example_tree(1.0, 2.0, 3.0, 4.0, 5.0))
 
     def test_from_dict_malformed(self):
         with pytest.raises(InputError):

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tosg.decision import TosgProblem, constraint_from_dict, objective_from_dict, tosg_value
@@ -13,7 +14,7 @@ from tosg.game_tree import GameTree
 from tosg.matrix_game import MixedStrategy, PayoffMatrix
 from tosg.pipeline import ProtocolConfig
 from tosg.risk import MitigatingRiskParams
-from tosg.timing import kernel_from_spec
+from tosg.timing import TimingKernel, kernel_from_spec
 
 GOLDEN_CONFIG = json.loads(
     (Path(__file__).parent / "data" / "golden_protocol_config.json").read_text()
@@ -68,10 +69,14 @@ TOSG = {
         lambda: ProtocolConfig.from_dict({**GOLDEN_CONFIG, "grid_n": 21.5}),
         # containers of the wrong type, and the one tie rule
         lambda: GameTree.from_dict({"kind": "max", "children": 5}),
-        lambda: GameTree.from_dict({"kind": "chance", "children": [GameTree.leaf(1).to_dict()], "probs": 5}),
+        lambda: GameTree.from_dict({"kind": "chance", "children": [{"kind": "leaf", "payoff": 1}], "probs": 5}),
         lambda: DuelSpec.from_dict({**DUEL, "tie_rule": "sequential"}),
         # an accuracy evaluated at NaN
         lambda: AccuracyFunction.identity()(float("nan")),
+        # a timing kernel whose grid is not a vector, or whose arrays are not numeric
+        lambda: TimingKernel(grid=0.5, a_upper=[[0.0]]),
+        lambda: TimingKernel(grid=["0", "half", "1"], a_upper=np.zeros((3, 3))),
+        lambda: TimingKernel(grid=np.linspace(0.0, 1.0, 3), a_upper=[["x"] * 3] * 3),
     ],
 )
 def test_garbage_documents_raise_input_error(build):

@@ -16,8 +16,6 @@ from tosg.matrix_game import (
     _GrowingGame,
     _exact_solution,
     _highs_core,
-    expected_payoff,
-    saddle_bounds,
     solve_exact,
     solve_fictitious_play,
 )
@@ -106,6 +104,20 @@ def layout_games(draw):
     return a
 
 
+def grown_skew(rows) -> tuple[np.ndarray, list]:
+    """A grown_games case: the 4 x 4 skew game with +1 above the diagonal,
+    grown by each row and then its negated column, which ends in a 0."""
+    upper = np.triu(np.ones((4, 4)), k=1)
+    growth = []
+    for row in rows:
+        row = np.array(row, dtype=float)
+        growth += [("row", row), ("col", -np.append(row, 0.0))]
+    return upper - upper.T, growth
+
+
+S = 2.0**-14  # an entry of the two grown_skew games in TestGrowingGame
+
+
 def saddle_violation(game: PayoffMatrix, solution: GameSolution) -> float:
     """Worst violation of the saddle inequalities against pure strategies."""
     sigma = solution.row_strategy.weights
@@ -123,16 +135,14 @@ class TestPayoffMatrix:
             PayoffMatrix([[np.nan]])
 
     def test_json_roundtrip(self):
-        game = PayoffMatrix([[1.0, -1.0]])
-        doc = game.to_dict()
-        assert (doc["rows"], doc["cols"]) == (1, 2)
-        again = PayoffMatrix.from_dict(doc)
-        assert np.array_equal(again.entries, game.entries)
+        game = PayoffMatrix.from_dict({"rows": 1, "cols": 2, "entries": [[1.0, -1.0]]})
+        assert (game.rows, game.cols) == (1, 2)
+        assert np.array_equal(game.entries, [[1.0, -1.0]])
 
     def test_from_dict_ignores_unknown_keys(self):
         doc = {"entries": [[1.0, -1.0]], "col_labels": [1.0, 0.0], "note": "ignored"}
         game = PayoffMatrix.from_dict(doc)
-        assert game.to_dict() == {"rows": 1, "cols": 2, "entries": [[1.0, -1.0]]}
+        assert (game.rows, game.cols, game.entries.tolist()) == (1, 2, [[1.0, -1.0]])
 
     def test_from_dict_checks_declared_shape(self):
         with pytest.raises(InputError):
@@ -145,46 +155,6 @@ class TestMixedStrategy:
             MixedStrategy([0.5, 0.4])
         with pytest.raises(InputError):
             MixedStrategy([0.7, -0.3])
-
-
-class TestExpectedPayoff:
-    def test_one_hot_selects_entry(self):
-        game = PayoffMatrix([[3.0, 1.0], [0.0, 2.0]])
-        for i in range(2):
-            for j in range(2):
-                got = expected_payoff(game, MixedStrategy.pure(i, 2), MixedStrategy.pure(j, 2))
-                assert got == pytest.approx(game.entries[i, j])
-
-    def test_uniform_on_matching_pennies_cancels(self):
-        game = PayoffMatrix(MATCHING_PENNIES)
-        assert expected_payoff(game, MixedStrategy.uniform(2), MixedStrategy.uniform(2)) == 0.0
-
-    def test_bilinear_form_matches_direct_summation(self):
-        game = PayoffMatrix([[3.0, 1.0], [0.0, 2.0]])
-        sigma, tau = [0.5, 0.5], [0.25, 0.75]
-        oracle = sum(
-            sigma[i] * tau[j] * game.entries[i, j] for i in range(2) for j in range(2)
-        )
-        got = expected_payoff(game, MixedStrategy(sigma), MixedStrategy(tau))
-        assert got == pytest.approx(oracle)
-        assert got == pytest.approx(1.5)
-
-    def test_dimension_mismatch(self):
-        game = PayoffMatrix([[3.0, 1.0], [0.0, 2.0]])
-        with pytest.raises(InputError):
-            expected_payoff(game, MixedStrategy.uniform(3), MixedStrategy.uniform(2))
-
-
-class TestSaddleBounds:
-    def test_matching_pennies(self):
-        assert saddle_bounds(PayoffMatrix(MATCHING_PENNIES)) == (-1.0, 1.0)
-
-    def test_pure_saddle(self):
-        # row minima {1, 0}, column maxima {1, 3}
-        assert saddle_bounds(PayoffMatrix([[1.0, 2.0], [0.0, 3.0]])) == (1.0, 1.0)
-
-    def test_scalar_game(self):
-        assert saddle_bounds(PayoffMatrix([[3.25]])) == (3.25, 3.25)
 
 
 class TestSolveExact:
@@ -212,10 +182,14 @@ class TestSolveExact:
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(matrix_strategy, degenerate_strategy))
+    # A tiny entry beside O(1) ones: HiGHS ends the cold solve at "Not Set".
+    @example(np.array([[4.0], [3.8387225e-12]]))
+    @example(np.array([[1.0], [1.5e-12]]))
+    @example(np.array([[1e3], [1e-10]]))
     def test_saddle_contract_random(self, entries):
         game = PayoffMatrix(entries)
         solution = solve_exact(game)
-        maximin, minimax = saddle_bounds(game)
+        maximin, minimax = entries.min(axis=1).max(), entries.max(axis=0).min()
         assert maximin - 1e-9 <= solution.value <= minimax + 1e-9
         assert entries.min() - 1e-9 <= solution.value <= entries.max() + 1e-9
         assert saddle_violation(game, solution) <= 1e-9
@@ -337,6 +311,12 @@ class TestGrowingGame:
 
     @settings(max_examples=60, deadline=None)
     @given(grown_games())
+    # Entries of 1e-10 beside O(1) ones.  At 8 x 8 the cold solve ends at
+    # "Unknown", and so does its rerun with presolve on; the shifted game solves.
+    @example(grown_skew([[4, 0, 0, 0], [1e-10] * 5, [0] + [1] * 5, [6, 0, S, 6, 6, 6, 6]]))
+    # At 9 x 8 the cold solve falls short of SADDLE_TOL (5.5e-9), and at
+    # 9 x 9 it ends at "Unknown".
+    @example(grown_skew([[9, 0, 0, 0], [0, 2, 0, 2, 2], [1e-10] * 6, [0] + [1] * 6, [6, 0, S, 6, 6, 6, 6, 6]]))
     def test_matches_solve_exact_at_every_step(self, case):
         entries, growth = case
         model = _GrowingGame(entries)

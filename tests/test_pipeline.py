@@ -27,12 +27,12 @@ def zero_risk_config(grid_n=201, weight=0.0) -> dict:
 class TestImbedObjective:
     def test_zero_weight_is_identity(self):
         kernel = build_kernel(duel_kernel_fn, 51)
-        shifted = imbed_objective(kernel, lambda t: t, 0.0)
+        shifted = imbed_objective(kernel, kernel.grid, 0.0)
         assert np.all(shifted.matrix == kernel.matrix)
 
     def test_constant_score_is_identity(self):
         kernel = build_kernel(duel_kernel_fn, 51)
-        shifted = imbed_objective(kernel, lambda t: 0.7, 3.0)
+        shifted = imbed_objective(kernel, np.full(51, 0.7), 3.0)
         assert np.all(shifted.matrix == kernel.matrix)
 
     def test_skew_symmetry_preserved(self):
@@ -48,7 +48,7 @@ class TestImbedObjective:
     def test_duel_kernel_linear_score_regression(self):
         # regression fixture: first solve recorded these numbers
         kernel = build_kernel(duel_kernel_fn, 201)
-        shifted = imbed_objective(kernel, lambda t: t, 0.5)
+        shifted = imbed_objective(kernel, kernel.grid, 0.5)
         solution = solve_timing(shifted)
         assert abs(solution.value) <= 1e-9
         assert solution.residual_eq11 <= 1e-6
@@ -59,9 +59,9 @@ class TestImbedObjective:
     def test_validation(self):
         kernel = build_kernel(duel_kernel_fn, 11)
         with pytest.raises(InputError):
-            imbed_objective(kernel, lambda t: t, -0.5)
+            imbed_objective(kernel, kernel.grid, -0.5)
         with pytest.raises(InputError):
-            imbed_objective(kernel, lambda t: float("nan"), 0.5)
+            imbed_objective(kernel, np.full(11, np.nan), 0.5)
         with pytest.raises(InputError):
             imbed_objective(kernel, np.ones(7), 0.5)
 

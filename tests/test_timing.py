@@ -10,16 +10,12 @@ from tosg.duel import AccuracyFunction, DuelSpec, discretize_duel
 from tosg.errors import InputError, ResourceLimitError
 from tosg.matrix_game import MAX_STRATEGY_PAIRS, MixedStrategy, PayoffMatrix, solve_fictitious_play
 from tosg.timing import (
-    TimingKernel,
-    ValidationReport,
     build_kernel,
     classify_boundary,
     duel_kernel_fn,
     kernel_from_spec,
     solve_timing,
     spectrum,
-    spectrum_in_basic_interval,
-    validate_kernel,
     verify_optimality,
 )
 
@@ -27,23 +23,12 @@ DUEL_201 = build_kernel(duel_kernel_fn, 201)
 
 
 def pure_at(index: int, size: int) -> MixedStrategy:
-    return MixedStrategy.pure(index, size)
+    return MixedStrategy(np.eye(size)[index])
 
 
-def loop_report(kernel: TimingKernel) -> ValidationReport:
-    """validate_kernel's result by explicit loops over the triangle's columns and rows."""
-    a, n = kernel.a_upper, kernel.grid_n
-    dx = np.concatenate([np.diff(a[: j + 1, j]) for j in range(1, n)])
-    dy = np.concatenate([np.diff(a[i, i:]) for i in range(n - 1)])
-    tri = [a[i, j] for i in range(n) for j in range(i, n)]
-    step_bound = 10.0 * (max(tri) - min(tri) + 1e-12) / (n - 1)
-    return ValidationReport(
-        strictly_increasing_in_x=bool(np.all(dx > 1e-12)),
-        strictly_decreasing_in_y=bool(np.all(dy < -1e-12)),
-        nonneg_x_slope=bool(np.all(dx >= -1e-12)),
-        nonpos_y_slope=bool(np.all(dy <= 1e-12)),
-        continuity_proxy=bool(np.all(np.abs(np.concatenate([dx, dy])) <= step_bound)),
-    )
+def basic_interval_start(kernel) -> float:
+    """Smallest grid point where A(x, x) >= 0."""
+    return float(kernel.grid[np.diagonal(kernel.a_upper) >= 0.0][0])
 
 
 class TestBuildKernel:
@@ -111,62 +96,17 @@ class TestBuildKernel:
             kernel_from_spec({"A": {"kind": "mystery"}, "grid_n": 11})
 
 
-class TestValidateKernel:
-    def test_duel_kernel_passes(self):
-        report = validate_kernel(DUEL_201)
-        assert report.strictly_increasing_in_x
-        assert report.strictly_decreasing_in_y
-        assert report.nonneg_x_slope and report.nonpos_y_slope
-        assert report.continuity_proxy
-        assert report.no_linear_intervals is None  # not observable on a grid
-
-    def test_increasing_in_y_fails(self):
-        report = validate_kernel(build_kernel(lambda x, y: x + y, 21))
-        assert not report.strictly_decreasing_in_y
-        assert not report.nonpos_y_slope
-        assert report.strictly_increasing_in_x
-
-    def test_constant_fails_strictness_passes_signs(self):
-        report = validate_kernel(build_kernel(lambda x, y: 0.25 + 0.0 * x, 21))
-        assert not report.strictly_increasing_in_x
-        assert not report.strictly_decreasing_in_y
-        assert report.nonneg_x_slope and report.nonpos_y_slope
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(3, 30),
-        st.sampled_from(["monotone", "noisy", "random"]),
-        st.sampled_from([np.nan, np.inf, -1e300, 0.0, "random"]),
-    )
-    def test_matches_loop_reference_whatever_lies_below(self, seed, grid_n, shape, below):
-        rng = np.random.default_rng(seed)
-        upper = random_monotone_kernel(rng, grid_n).a_upper
-        if shape == "noisy":
-            upper = upper + rng.normal(0.0, 1e-3, upper.shape)
-        elif shape == "random":
-            upper = rng.uniform(-1.0, 1.0, upper.shape)
-        fill = rng.uniform(-1e3, 1e3, upper.shape) if below == "random" else below
-        a_upper = np.where(np.triu(np.ones(upper.shape, dtype=bool)), upper, fill)
-        kernel = TimingKernel(grid=np.linspace(0.0, 1.0, grid_n), a_upper=a_upper)
-        assert validate_kernel(kernel) == loop_report(kernel)
-
-    def test_jump_breaks_continuity_proxy(self):
-        report = validate_kernel(build_kernel(lambda x, y: x - y + np.where(x > 0.5, 5.0, 0.0), 51))
-        assert not report.continuity_proxy
-
-
 class TestClassifyBoundary:
     def test_pure_at_1(self):
         decision = classify_boundary(build_kernel(lambda x, y: x - y - 0.5, 21))
         assert decision.label == "pure_at_1"
-        assert decision.witness == pytest.approx(-0.5)
+        assert decision.a11 == pytest.approx(-0.5)
 
     def test_pure_at_0(self):
         decision = classify_boundary(build_kernel(lambda x, y: x - y + 2.0, 21))
         assert decision.label == "pure_at_0"
         assert decision.a11 == pytest.approx(2.0)
-        assert decision.witness == pytest.approx(1.0)
+        assert decision.a01 == pytest.approx(1.0)
 
     def test_interior(self):
         decision = classify_boundary(DUEL_201)
@@ -235,7 +175,7 @@ class TestVerifyOptimality:
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            verify_optimality(DUEL_201, MixedStrategy.uniform(11))
+            verify_optimality(DUEL_201, MixedStrategy(np.full(11, 1 / 11)))
 
 
 class TestSpectrum:
@@ -267,8 +207,9 @@ class TestSpectrum:
         exact = solve_timing(kernel)
         game = PayoffMatrix(kernel.matrix)
         played = solve_fictitious_play(game, 300_000)
-        pts_exact, atom_exact = spectrum(exact.strategy, kernel, atom_tol=1e-6)
-        pts_fp, atom_fp = spectrum(played.row_strategy, kernel, atom_tol=1e-3)
+        pts_exact, atom_exact = spectrum(exact.strategy, kernel)
+        held = played.row_strategy.weights > 1e-3
+        pts_fp, atom_fp = kernel.grid[1:][held[1:]], bool(held[0])
         assert atom_exact == atom_fp
         assert abs(pts_exact.min() - pts_fp.min()) <= cell + 1e-12
         assert abs(pts_exact.max() - pts_fp.max()) <= cell + 1e-12
@@ -276,19 +217,14 @@ class TestSpectrum:
 
 class TestBasicInterval:
     def test_duel_kernel_starts_at_zero(self):
-        assert DUEL_201.basic_interval_start() == 0.0
-        solution = solve_timing(DUEL_201)
-        assert spectrum_in_basic_interval(DUEL_201, solution.strategy) is True
+        assert basic_interval_start(DUEL_201) == 0.0
+        points, _ = spectrum(solve_timing(DUEL_201).strategy, DUEL_201)
+        assert points.min() >= 0.0
 
     def test_shifted_kernel(self):
         kernel = build_kernel(lambda x, y: x - y - 0.5 + x * y, 101)
-        b = kernel.basic_interval_start()
+        b = basic_interval_start(kernel)
         # A(x, x) = x^2 - 0.5 turns nonnegative at sqrt(0.5)
         assert b == pytest.approx(np.sqrt(0.5), abs=0.01)
-        solution = solve_timing(kernel)
-        assert spectrum_in_basic_interval(kernel, solution.strategy) is True
-
-    def test_undefined_when_diagonal_negative(self):
-        kernel = build_kernel(lambda x, y: x - y - 5.0, 11)
-        assert kernel.basic_interval_start() is None
-        assert spectrum_in_basic_interval(kernel, pure_at(10, 11)) is None
+        points, _ = spectrum(solve_timing(kernel).strategy, kernel)
+        assert points.min() >= b
