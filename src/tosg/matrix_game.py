@@ -368,8 +368,9 @@ class _GrowingGame:
         column holds a 1 in every ``<= 0`` row.  Exact zeros are left out,
         as a sparse matrix built from the dense layout leaves them out.
         ``entries`` stays ``a``, which every solve is certified against, and
-        add_row and add_col shift their payoffs alike.  The next solve runs
-        without presolve; add_row and add_col turn it back on.
+        add_row and add_col shift their payoffs alike.  The model is cold
+        until the next add_row or add_col: its next solve runs without
+        presolve, and the first add turns presolve back on.
         """
         m, n = a.shape
         self.entries, self._shift = a, shift
@@ -392,6 +393,7 @@ class _GrowingGame:
             raise SolverError("HiGHS refused the game's row LP")
         self._highs.setOptionValue("presolve", "off")
         self._v_col, self._sum_row = m, n
+        self._cold = True
 
     def add_row(self, payoffs: np.ndarray) -> None:
         """Append a game row: its payoff against every current column."""
@@ -414,16 +416,22 @@ class _GrowingGame:
     def _add(self, status) -> None:
         if status == self._core.HighsStatus.kError:
             raise SolverError("HiGHS refused a new row or column of the game")
-        self._highs.setOptionValue("presolve", "on")
+        if self._cold:
+            self._highs.setOptionValue("presolve", "on")
+            self._cold = False
 
     def solve(self) -> _Certified:
         """Re-solve from the last basis, and from a new model if that is not certified.
 
         A warm-started solve can end short of SADDLE_TOL where a cold one
         of the same game does not, so the retry reloads the grown game and
-        solves it cold with _solve_cold's recovery, as solve_exact does.
-        SolverError if none of those solves is optimal and certified.
+        solves it cold with _solve_cold's recovery, as solve_exact does.  A
+        cold model goes to _solve_cold at once, since reloading it would
+        only repeat the solve that failed.  SolverError if none of those
+        solves is optimal and certified.
         """
+        if self._cold:
+            return self._solve_cold()
         try:
             return self._solve()
         except SolverError:

@@ -11,7 +11,6 @@ documented conventions of this toolkit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -134,6 +133,10 @@ class ProtocolConfig:
         }
 
     def sha256(self) -> str:
+        # Imported here, not at the top: hashlib loads OpenSSL's libcrypto
+        # (about 3 MB of RSS and 3 ms), which only this hash needs.
+        import hashlib
+
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

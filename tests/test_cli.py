@@ -423,19 +423,21 @@ class TestPinnedOutputs:
 
 
 # Runs main on each command line in order, in one fresh interpreter, and
-# prints, per step, its exit code and whether scipy / scipy.optimize are loaded.
+# prints, per step, its exit code, the scipy modules loaded, and whether
+# OpenSSL's hashlib extension (_hashlib) is loaded.
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 import tosg.cli
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+def loaded():
+    scipy = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+    return scipy, "_hashlib" in sys.modules
 
-steps = [["import tosg.cli", 0, scipy_modules()]]
+steps = [["import tosg.cli", 0, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = tosg.cli.main(argv)
-    steps.append([argv[0], code, scipy_modules()])
+    steps.append([argv[0], code, *loaded()])
 print(json.dumps(steps))
 """
 
@@ -479,27 +481,33 @@ def run_probe(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env, timeout=120)
 
 
+def startup_steps(tmp_path, names) -> list:
+    """STARTUP_PROBE's steps for --version and then the PINNED_OUTPUTS command lines ``names``."""
+    argvs = [["--version"]]
+    for name in names:
+        (command, *flags), document = PINNED_OUTPUTS[name]
+        if document is not None:
+            flags.insert(0, write(tmp_path, name, document))
+        argvs.append([command, *flags])
+    probe = run_probe(STARTUP_PROBE, json.dumps(argvs))
+    assert probe.returncode == 0, probe.stderr
+    steps = json.loads(probe.stdout)
+    assert [step for step, code, *_ in steps if code != 0] == []
+    return steps
+
+
 class TestStartup:
     def test_scipy_loads_only_with_the_first_lp(self, tmp_path):
         # Only an exact solve may load scipy, and then only the top-level
         # package and HiGHS's extension: scipy.optimize's __init__ loads
         # about 320 modules, several times these commands' work.  The exact
         # solve runs last, as the control that the probe sees scipy at all.
-        argvs = [["--version"]]
-        for name in (
+        steps = startup_steps(tmp_path, (
             "eval-tree.json", "risk.json", "simulate-duel.json", "solve-evasion.json",
             "solve-tosg.json", "solve-matrix-fictitious-play.json", "solve-matrix-exact.json",
-        ):
-            (command, *flags), document = PINNED_OUTPUTS[name]
-            if document is not None:
-                flags.insert(0, write(tmp_path, name, document))
-            argvs.append([command, *flags])
-        probe = run_probe(STARTUP_PROBE, json.dumps(argvs))
-        assert probe.returncode == 0, probe.stderr
-        steps = json.loads(probe.stdout)
-        assert [step for step, code, _ in steps if code != 0] == []
-        *lean, (command, _, loaded) = steps
-        assert [step for step, _, scipy in lean if scipy] == []
+        ))
+        *lean, (command, _, loaded, _) = steps
+        assert [step for step, _, scipy, _ in lean if scipy] == []
         assert command == "solve-matrix"
         core = "scipy.optimize._highspy._core"
         # The extension itself stays out of sys.modules, but registers its own
@@ -508,6 +516,19 @@ class TestStartup:
         others = [name for name in loaded if not name.startswith(core)]
         assert [name for name in others if name.startswith("scipy.optimize")] == []
         assert len(others) <= 12, others
+
+    def test_openssl_loads_only_for_the_protocol_hash(self, tmp_path):
+        # hashlib loads OpenSSL's libcrypto, about 3 MB of RSS, and only
+        # run-protocol's config_sha256 needs it; run-protocol runs last, as
+        # the control that the probe sees it at all.  simulate-duel is left
+        # out: numpy.random imports secrets, which loads _hashlib through hmac.
+        steps = startup_steps(tmp_path, (
+            "solve-matrix-exact.json", "solve-duel-2v3.json", "solve-timing-duel.json", "eval-tree.json",
+            "risk.json", "solve-tosg.json", "solve-evasion.json", "run-protocol.csv",
+        ))
+        *lean, (command, _, _, openssl) = steps
+        assert [step for step, _, _, hashed in lean if hashed] == []
+        assert (command, openssl) == ("run-protocol", True)
 
     @pytest.mark.parametrize("order", ["tosg-first", "scipy-first"])
     def test_scipy_optimize_shares_the_extension(self, tmp_path, order):
@@ -668,6 +689,18 @@ class TestCliSurface:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments: " + " ".join(flag) in err
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main reuses one parser per process.  A parse that exits 2, an early
+        # --version exit and another method's flags leave nothing behind.
+        assert _build_parser() is _build_parser()
+        path = write(tmp_path, "matrix.json", MATRIX)
+        assert run(capsys, "solve-matrix", path, "--tol", "1e-9")[0] == 2
+        assert run(capsys, "--version")[:2] == (0, f"tosg {tosg.__version__} (format schema 1)\n")
+        assert run(capsys, "solve-matrix", path, "--method", "fictitious-play", "--iterations", "5")[0] == 0
+        code, out, err = run(capsys, "solve-matrix", path)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (DATA / "cli" / "solve-matrix-exact.json").read_bytes()
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

@@ -235,6 +235,20 @@ class TestSolveExact:
         assert saddle_violation(transformed, carried) <= a * 1e-8 + 1e-8
 
 
+class CountingHighs:
+    """A HiGHS model that passes every call through and counts its runs."""
+
+    def __init__(self, highs, runs: list):
+        self._highs, self._runs = highs, runs
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self._runs.append(None)
+        return self._highs.run()
+
+
 class TestGrowingGame:
     def test_private_highs_api_is_present(self):
         # _GrowingGame drives scipy's private HiGHS binding, which may change
@@ -280,6 +294,34 @@ class TestGrowingGame:
         model.add_col(np.array([0.0, 3.0]))
         assert highs.getOptionValue("presolve")[1] == "on"
         assert _exact_solution(*model.solve()).value == pytest.approx(5.0 / 3.0)
+
+    def test_failed_cold_solve_is_not_repeated(self, monkeypatch):
+        # The cold solve of this game ends at "Not Set" and its rerun with
+        # presolve on solves it.  solve() on the fresh model runs those two
+        # solves, as solve_exact does, and does not reload the model to
+        # repeat the failed one first; a grown model's warm solve is one run.
+        runs = []
+        init = _GrowingGame.__init__
+
+        def counted_init(model, entries):
+            init(model, entries)
+            model._highs = CountingHighs(model._highs, runs)
+
+        monkeypatch.setattr(_GrowingGame, "__init__", counted_init)
+        entries = np.array([[4.0], [3.8387225e-12]])
+        exact = solve_exact(PayoffMatrix(entries))
+        assert len(runs) == 2
+        runs.clear()
+        model = _GrowingGame(entries)
+        solution = _exact_solution(*model.solve())
+        assert len(runs) == 2
+        assert (solution.value, solution.residual) == (exact.value, exact.residual)
+        assert np.array_equal(solution.row_strategy.weights, exact.row_strategy.weights)
+        assert np.array_equal(solution.col_strategy.weights, exact.col_strategy.weights)
+        runs.clear()
+        model.add_col(np.array([0.0, 1.0]))
+        assert _exact_solution(*model.solve()).value == pytest.approx(0.8, abs=1e-9)
+        assert len(runs) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(layout_games())
