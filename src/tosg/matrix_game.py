@@ -15,6 +15,7 @@ import importlib.util
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -58,11 +59,24 @@ def guard_cells(cells: int, what: str) -> None:
         )
 
 
+def _holds_text_or_bool(values) -> bool:
+    """Whether ``values`` or an item nested in its lists is a string or boolean; an array by its dtype."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "bOSU"
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_text_or_bool, values))
+    return isinstance(values, (str, bool, np.bool_))
+
+
 def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} is not numeric: {exc}") from None
+    # numpy reads the string "2" as 2.0 and True as 1.0.  Walked only once
+    # numpy has taken the value, so its dimension cap bounds the recursion.
+    if _holds_text_or_bool(values):
+        raise InputError(f"{name} must be numeric, not a string or boolean")
     if arr.ndim != ndim:
         raise InputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -258,7 +272,7 @@ def _exact_solution(sigma: np.ndarray, tau: np.ndarray, lower: float, upper: flo
 def solve_exact(game: PayoffMatrix) -> GameSolution:
     """Solve the game by linear programming.
 
-    One cold solve of a fresh _GrowingGame: its HiGHS program maximizes v
+    The solve of a fresh _GrowingGame: its HiGHS program maximizes v
     subject to sigma^T A >= v per column, and the column strategy is read
     from the duals of those column constraints.  The reported value is the
     midpoint of the verified security levels of the two returned strategies
@@ -268,13 +282,11 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
         payoff(any pure row, tau*) <= value + residual
 
     holds by construction; _certify states the skew-symmetric rule and
-    raises SolverError on a gap above SADDLE_TOL.  Being cold, the solve
-    runs without presolve (see _GrowingGame); one that HiGHS does not
-    finish, or that falls short of SADDLE_TOL, is recovered as
-    _GrowingGame._solve_cold describes, so a game that solves at once keeps
-    its bits.
+    raises SolverError on a gap above SADDLE_TOL.  A solve that HiGHS does
+    not finish, or that falls short of SADDLE_TOL, is recovered as
+    _GrowingGame.solve describes.
     """
-    return _exact_solution(*_GrowingGame(game.entries)._solve_cold())
+    return _exact_solution(*_GrowingGame(game.entries).solve())
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -319,23 +331,23 @@ def _highs_core():
 class _GrowingGame:
     """A game's row LP in one HiGHS model that can grow with the game.
 
-    solve_exact is one cold solve of a fresh model, with _solve_cold's
-    recovery if HiGHS does not finish it.  HiGHS drops matrix
-    entries at or below ``small_matrix_value``, 1e-9 by default, which
-    leaves a game of such entries short of the saddle contract, so the
-    model keeps every entry above 1e-12, the least HiGHS accepts.  A new
+    solve() is the one way to solve it, solve_exact's included, and holds
+    the recovery ladder.  HiGHS drops matrix entries at or below
+    ``small_matrix_value``, 1e-9 by default, which leaves a game of such
+    entries short of the saddle contract, so the model keeps every entry
+    above 1e-12, the least HiGHS accepts.  A new
     game row is a new LP column and a new game column a new ``<= 0`` LP
     row, appended after _load's v column and sum row.  So the LP positions
     follow from the layout, with no index kept: game row i is LP column
     ``i + (i >= _v_col)``, game column j is LP row ``j + (j >= _sum_row)``,
     and a solution is read by dropping the v column and the sum row.
     HiGHS keeps its basis across the changes, so each later solve is a
-    warm-started dual simplex.  A cold solve, the first after a load, runs
+    warm-started dual simplex.  The first run after a load is cold and runs
     without presolve: on a dense game it removes nothing, and skipping it
     takes the 201-point timing LP from about 35 to 26 ms and the 801-point
     one from about 1.5 to 1.35 s (2 vCPUs), with the same iterations and
-    bit-identical results.  Growing the model turns presolve back on, since
-    warm solves without it were slower (5.4 vs 4.1 s for the 2-vs-6 double
+    bit-identical results.  Every other run has presolve on, since warm
+    solves without it were slower (5.4 vs 4.1 s for the 2-vs-6 double
     oracle at grid 161).  Every solve is certified by _certify against
     the grown matrix and returns its (sigma, tau, lower, upper), with no
     GameSolution built.  This drives HiGHS through scipy's private
@@ -368,9 +380,8 @@ class _GrowingGame:
         column holds a 1 in every ``<= 0`` row.  Exact zeros are left out,
         as a sparse matrix built from the dense layout leaves them out.
         ``entries`` stays ``a``, which every solve is certified against, and
-        add_row and add_col shift their payoffs alike.  The model is cold
-        until the next add_row or add_col: its next solve runs without
-        presolve, and the first add turns presolve back on.
+        add_row and add_col shift their payoffs alike.  The model is fresh
+        until its next run, which is cold.
         """
         m, n = a.shape
         self.entries, self._shift = a, shift
@@ -391,9 +402,8 @@ class _GrowingGame:
         )
         if status == self._core.HighsStatus.kError:
             raise SolverError("HiGHS refused the game's row LP")
-        self._highs.setOptionValue("presolve", "off")
         self._v_col, self._sum_row = m, n
-        self._cold = True
+        self._fresh = True
 
     def add_row(self, payoffs: np.ndarray) -> None:
         """Append a game row: its payoff against every current column."""
@@ -416,52 +426,38 @@ class _GrowingGame:
     def _add(self, status) -> None:
         if status == self._core.HighsStatus.kError:
             raise SolverError("HiGHS refused a new row or column of the game")
-        if self._cold:
-            self._highs.setOptionValue("presolve", "on")
-            self._cold = False
 
     def solve(self) -> _Certified:
-        """Re-solve from the last basis, and from a new model if that is not certified.
+        """The certified solution of the game as it stands, from the first rung that gives one.
 
-        A warm-started solve can end short of SADDLE_TOL where a cold one
-        of the same game does not, so the retry reloads the grown game and
-        solves it cold with _solve_cold's recovery, as solve_exact does.  A
-        cold model goes to _solve_cold at once, since reloading it would
-        only repeat the solve that failed.  SolverError if none of those
-        solves is optimal and certified.
+        1. A warm run from the last basis, if the model has run since its
+           last load; it can fall short of SADDLE_TOL where a cold run does not.
+        2. A reload of the grown game, and
+        3. a cold run.  Entries of about 1e-12 to 1e-9 beside O(1) ones can
+           end it at ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.
+        4. The same model again, now with presolve.
+        5. The shifted game A + 1 - min A, whose entries are all at least 1,
+           loaded and run cold.  Its strategies are certified against A:
+           sigma is the same under the shift, and tau still comes from the
+           duals.
+
+        Only a failed run moves down, so a game that solves at once keeps
+        its bits.  SolverError if the last rung fails too.
         """
-        if self._cold:
-            return self._solve_cold()
-        try:
-            return self._solve()
-        except SolverError:
+        if not self._fresh:
+            with suppress(SolverError):
+                return self._solve()
             self._load(self.entries)
-            return self._solve_cold()
-
-    def _solve_cold(self) -> _Certified:
-        """The cold solve of the game just loaded, recovered if it fails.
-
-        Entries of about 1e-12 to 1e-9 beside O(1) ones can end the
-        presolve-off solve at ``Not Set`` or ``Unknown``, or short of
-        SADDLE_TOL.  Then the same model is solved again with presolve on,
-        and if that fails too, the shifted game A + 1 - min A, whose entries
-        are all at least 1, is loaded and solved cold.  Its strategies are
-        certified against A: sigma is the same under the shift, and tau
-        still comes from the duals.  Only a failed solve moves on, so a game
-        that solves at once keeps its bits.
-        """
-        try:
-            return self._solve()
-        except SolverError:
-            self._highs.setOptionValue("presolve", "on")
-        try:
-            return self._solve()
-        except SolverError:
-            self._load(self.entries, 1.0 - float(self.entries.min()))
-            return self._solve()
+        for _ in range(2):  # cold, then again with presolve
+            with suppress(SolverError):
+                return self._solve()
+        self._load(self.entries, 1.0 - float(self.entries.min()))
+        return self._solve()
 
     def _solve(self) -> _Certified:
-        """One solve of the model as it stands: cold after a load, warm after growth."""
+        """One run of the model as it stands, without presolve if it is the first since a load."""
+        self._highs.setOptionValue("presolve", "off" if self._fresh else "on")
+        self._fresh = False
         self._highs.run()
         status = self._highs.getModelStatus()
         if status != self._core.HighsModelStatus.kOptimal:

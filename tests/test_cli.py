@@ -126,6 +126,20 @@ class TestSolveMatrix:
         assert out == ""
         assert re.fullmatch(r"error: saddle gap \S+ exceeds tol 1\.000e-09\n", err)
 
+    @pytest.mark.parametrize(
+        "entries,error",
+        [
+            # HiGHS refuses matrix values of 1e15 (its large_matrix_value) or more; 9e14 solves.
+            ([[1e15, -1.0], [-1.0, 1.0]], r"error: HiGHS refused the game's row LP\n"),
+            # No rung of the recovery ladder finishes this game (ROADMAP item 12).
+            ([[9e14], [3.8e-12]], r"error: .+\n"),
+        ],
+    )
+    def test_entries_near_1e15_are_exit_one_with_one_line(self, tmp_path, capsys, entries, error):
+        code, out, err = run(capsys, "solve-matrix", write(tmp_path, "game.json", {"entries": entries}))
+        assert (code, out) == (1, "")
+        assert re.fullmatch(error, err)
+
     def test_tiny_entry_beside_an_order_one_entry_is_solved(self, tmp_path, capsys):
         # HiGHS ends the cold solve of this game at "Not Set"; the recovery finishes it.
         code, out, _ = run(capsys, "solve-matrix", write(tmp_path, "game.json", {"entries": [[4.0], [3.8e-12]]}))
@@ -589,6 +603,12 @@ class TestCliContract:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize("entries", [[["1", "2"], ["3", "4"]], [[True, False], [False, True]]])
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, capsys, entries):
+        code, out, err = run(capsys, "solve-matrix", write(tmp_path, "game.json", {"entries": entries}))
+        assert (code, out) == (2, "")
+        assert err == "error: entries must be numeric, not a string or boolean\n"
+
     def test_deep_trees_never_crash(self, tmp_path, capsys):
         # json.load and GameTree.from_dict both recurse per level, so near the
         # recursion limit either may give out first.
@@ -599,6 +619,16 @@ class TestCliContract:
             code, _, err = run(capsys, "eval-tree", write(tmp_path, "tree.json", tree))
             assert code in (0, 2)
             assert code == 0 or err.count("\n") == 1
+
+    def test_deep_entries_never_crash(self, tmp_path, capsys):
+        # numpy refuses more than its dimension cap, and json.load gives out
+        # near the recursion limit; neither depth may escape as a traceback.
+        limit = sys.getrecursionlimit()
+        for depth in (40, 100, limit // 2, limit - 100, limit):
+            doc = '{"entries": ' + "[" * depth + "1" + "]" * depth + "}"
+            code, out, err = run(capsys, "solve-matrix", write(tmp_path, "deep.json", doc))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command,payload",

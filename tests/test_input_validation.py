@@ -77,6 +77,17 @@ TOSG = {
         lambda: TimingKernel(grid=0.5, a_upper=[[0.0]]),
         lambda: TimingKernel(grid=["0", "half", "1"], a_upper=np.zeros((3, 3))),
         lambda: TimingKernel(grid=np.linspace(0.0, 1.0, 3), a_upper=[["x"] * 3] * 3),
+        # real-valued fields: numeric strings and booleans are not numbers
+        lambda: PayoffMatrix.from_dict({"entries": [["1", "2"], ["3", "4"]]}),
+        lambda: PayoffMatrix.from_dict({"entries": [[True, False], [False, True]]}),
+        lambda: PayoffMatrix([[1.0, True]]),
+        lambda: PayoffMatrix(np.array([[True, False]])),
+        lambda: PayoffMatrix([[np.True_, 1.0]]),
+        lambda: ProtocolConfig.from_dict({**GOLDEN_CONFIG, "lambda": "0.25"}),
+        lambda: ProtocolConfig.from_dict({**GOLDEN_CONFIG, "lambda": True}),
+        lambda: DuelSpec.from_dict({**DUEL, "p": {"kind": "power", "k": "2"}}),
+        lambda: TimeVector(["0.5"]),
+        lambda: MitigatingRiskParams.from_dict({"pi": True, "pn": 0.5, "ce": 1.0}),
     ],
 )
 def test_garbage_documents_raise_input_error(build):

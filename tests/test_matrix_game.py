@@ -1,3 +1,5 @@
+import ast
+import inspect
 import operator
 from pathlib import Path
 
@@ -236,7 +238,7 @@ class TestSolveExact:
 
 
 class CountingHighs:
-    """A HiGHS model that passes every call through and counts its runs."""
+    """A HiGHS model that passes every call through and records the presolve option at each run."""
 
     def __init__(self, highs, runs: list):
         self._highs, self._runs = highs, runs
@@ -245,8 +247,19 @@ class CountingHighs:
         return getattr(self._highs, name)
 
     def run(self):
-        self._runs.append(None)
+        self._runs.append(self._highs.getOptionValue("presolve")[1])
         return self._highs.run()
+
+
+def highs_calls(path: str) -> set[str]:
+    """The names of the methods called on ``self._highs`` in a source file."""
+    return {
+        node.func.attr
+        for node in ast.walk(ast.parse(Path(path).read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func.value) == "self._highs"
+    }
 
 
 class TestGrowingGame:
@@ -285,20 +298,26 @@ class TestGrowingGame:
         assert highs.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("dual_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("small_matrix_value")[1] == 1e-12
-        # Cold solves run without presolve, warm ones with it.
-        assert highs.getOptionValue("presolve")[1] == "off"
+        # The first run after a load is cold and runs without presolve, a
+        # warm one has it; a model grown before its first run still runs cold.
+        runs = []
+        model._highs = CountingHighs(highs, runs)
+        assert _exact_solution(*model.solve()).value == pytest.approx(2.5)
         model.add_row(np.array([1.0]))
-        assert highs.getOptionValue("presolve")[1] == "on"
+        model.solve()
         model._load(model.entries)
-        assert highs.getOptionValue("presolve")[1] == "off"
         model.add_col(np.array([0.0, 3.0]))
-        assert highs.getOptionValue("presolve")[1] == "on"
         assert _exact_solution(*model.solve()).value == pytest.approx(5.0 / 3.0)
+        model.add_row(np.array([-1.0, 1.0]))
+        assert _exact_solution(*model.solve()).value == pytest.approx(5.0 / 3.0)
+        assert runs == ["off", "on", "off", "on"]
+        # The pinned methods are exactly those _GrowingGame calls.
+        assert highs_calls(inspect.getsourcefile(_GrowingGame)) == set(methods)
 
     def test_failed_cold_solve_is_not_repeated(self, monkeypatch):
         # The cold solve of this game ends at "Not Set" and its rerun with
-        # presolve on solves it.  solve() on the fresh model runs those two
-        # solves, as solve_exact does, and does not reload the model to
+        # presolve on solves it.  solve() on a fresh model, solve_exact's
+        # included, runs those two solves and does not reload the model to
         # repeat the failed one first; a grown model's warm solve is one run.
         runs = []
         init = _GrowingGame.__init__
@@ -310,18 +329,45 @@ class TestGrowingGame:
         monkeypatch.setattr(_GrowingGame, "__init__", counted_init)
         entries = np.array([[4.0], [3.8387225e-12]])
         exact = solve_exact(PayoffMatrix(entries))
-        assert len(runs) == 2
+        assert runs == ["off", "on"]
         runs.clear()
         model = _GrowingGame(entries)
         solution = _exact_solution(*model.solve())
-        assert len(runs) == 2
+        assert runs == ["off", "on"]
         assert (solution.value, solution.residual) == (exact.value, exact.residual)
         assert np.array_equal(solution.row_strategy.weights, exact.row_strategy.weights)
         assert np.array_equal(solution.col_strategy.weights, exact.col_strategy.weights)
         runs.clear()
         model.add_col(np.array([0.0, 1.0]))
         assert _exact_solution(*model.solve()).value == pytest.approx(0.8, abs=1e-9)
-        assert len(runs) == 1
+        assert runs == ["on"]
+
+    def test_growth_after_the_shifted_game_stays_shifted(self):
+        # The cold run and the presolve rerun of this game both end at
+        # "Unknown", so the model now holds the shifted game A + 1 - min A.  Rows and columns
+        # added later must be shifted alike; a solve certified on A would
+        # not show an unshifted LP entry, so the LP is read back.
+        entries = np.array([
+            [-3.2006493338333764, 6.926400481446148, 7.299515341032809],
+            [-8.136711756744308, 6.287977768093665, 7.235303245312842],
+            [1.3780731049756554, 9.074626594064213, -5.177733402704117],
+            [8.621922042976385e-10, -1.2305277100815805e-12, 7.350432086024817],
+        ])
+        model = _GrowingGame(entries)
+        model.solve()
+        shift = 1.0 - entries.min()
+        assert model._shift == shift
+        model.add_row(np.array([1.0, -2.0, 3.0]))
+        model.add_col(np.array([0.5, -1.5, 2.5, 4.0, -3.0]))
+        lp = model._highs.getLp()
+        a = lp.a_matrix_
+        lp_matrix = csc_array((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_)).toarray()
+        # Game rows 0-3 are LP columns 0-3 and game row 4 is LP column 5,
+        # after the v column; game columns 0-2 and 3 are LP rows 0-2 and 4.
+        game_part = lp_matrix[np.ix_([0, 1, 2, 4], [0, 1, 2, 3, 5])]
+        assert np.array_equal(game_part, (-model.entries - shift).T)
+        solution = _exact_solution(*model.solve())
+        assert abs(solution.value - solve_exact(PayoffMatrix(model.entries)).value) <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(layout_games())
