@@ -49,9 +49,9 @@ def imbed_objective(kernel: TimingKernel, g, weight: float) -> TimingKernel:
     skew-symmetric; weight 0 or a constant score leaves the kernel
     unchanged.
     """
-    weight = float(weight)
-    if not np.isfinite(weight) or weight < 0.0:
-        raise InputError("imbedding weight must be finite and nonnegative")
+    weight = float(_as_float_array(weight, "imbedding weight", 0))
+    if weight < 0.0:
+        raise InputError("imbedding weight must be nonnegative")
     scores = _as_float_array(g, "score values", 1)
     if scores.shape != kernel.grid.shape:
         raise InputError("score values must match the kernel grid")

@@ -31,14 +31,11 @@ class TimingKernel:
     """Grid discretization of a skew-symmetric timing kernel."""
 
     grid: np.ndarray
-    a_upper: np.ndarray  # A(x_i, x_j) for i <= j, NaN below the diagonal
+    a_upper: np.ndarray  # A(x_i, x_j) for i <= j; entries below the diagonal: finite, not read
 
     def __post_init__(self):
         grid = _as_float_array(self.grid, "kernel grid", 1)
-        try:  # a_upper is NaN below the diagonal, so only its type is checked
-            a_upper = np.asarray(self.a_upper, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"a_upper is not numeric: {exc}") from None
+        a_upper = _as_float_array(self.a_upper, "A(x, y) on the triangle x <= y", 2)
         for name, arr in (("grid", grid), ("a_upper", a_upper)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -63,37 +60,24 @@ class TimingKernel:
         return self.grid.shape[0]
 
 
-def _evaluate_upper(a, grid: np.ndarray) -> np.ndarray:
-    n = grid.shape[0]
-    x, y = np.meshgrid(grid, grid, indexing="ij")
-    try:
-        # A need only be defined for x <= y; mask out anything it produced below.
-        with np.errstate(all="ignore"):
-            values = np.asarray(a(x, y), dtype=float)
-        if values.shape != (n, n):
-            raise ValueError
-    except (TypeError, ValueError):  # a scalar-only generator, such as math.exp
-        values = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                values[i, j] = a(grid[i], grid[j])
-    upper = np.where(np.triu(np.ones((n, n), dtype=bool)), values, np.nan)
-    if not np.all(np.isfinite(upper[np.triu_indices(n)])):
-        raise InputError("A(x, y) must be finite on the closed triangle x <= y")
-    return upper
-
-
 def build_kernel(a, grid_n: int) -> TimingKernel:
     """Realize A(x, y) on a uniform grid; skew-symmetry holds by construction.
 
-    The grid_n x grid_n arrays are bounded by the size cap (guard_cells),
-    checked before any allocation.
+    A is called once, with the grid as a column x and as a row y.  Its
+    result is broadcast to grid_n x grid_n and only the triangle x <= y is
+    kept, so A need only be defined there.  The arrays are bounded by the
+    size cap (guard_cells), checked before any allocation.
     """
     if grid_n < 3:
         raise InputError("grid_n must be at least 3")
     guard_cells(grid_n * grid_n, f"a {grid_n}-point timing kernel")
     grid = np.linspace(0.0, 1.0, grid_n)
-    return TimingKernel(grid=grid, a_upper=_evaluate_upper(a, grid))
+    try:
+        with np.errstate(all="ignore"):
+            values = np.broadcast_to(a(grid[:, None], grid[None, :]), (grid_n, grid_n))
+    except (TypeError, ValueError) as exc:  # a scalar-only generator, such as math.exp
+        raise InputError(f"A(x, y) must map grid arrays to a {grid_n} x {grid_n} result: {exc}") from None
+    return TimingKernel(grid=grid, a_upper=np.triu(values))
 
 
 def duel_kernel_fn(x, y):

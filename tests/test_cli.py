@@ -745,6 +745,17 @@ class TestCliSurface:
         documented = {line.split()[1] for line in lines} - {"--version"}
         assert documented == set(CLI_SURFACE)
 
+    def test_readme_library_quick_start_runs(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = re.search(r"## Library quick start\n.*?```python\n(.*?)```", readme, re.S).group(1)
+        names = {}
+        exec(block, names)
+        solution = names["solution"]
+        assert solution.value == 1.5
+        assert list(solution.row_strategy.weights) == [0.5, 0.5]
+        assert abs(names["duel"].support_p1[0] - 1 / 3) <= 0.02
+        assert abs(names["timing"].value) <= 1e-9
+
 
 # Small valid documents for every subcommand that reads one, with its flags.
 SEED_DOCUMENTS = {

@@ -12,13 +12,14 @@ from tosg.duel import AccuracyFunction, DuelSpec, TimeVector
 from tosg.errors import InputError
 from tosg.game_tree import GameTree
 from tosg.matrix_game import MixedStrategy, PayoffMatrix
-from tosg.pipeline import ProtocolConfig
+from tosg.pipeline import ProtocolConfig, imbed_objective
 from tosg.risk import MitigatingRiskParams
-from tosg.timing import TimingKernel, kernel_from_spec
+from tosg.timing import TimingKernel, build_kernel, duel_kernel_fn, kernel_from_spec
 
 GOLDEN_CONFIG = json.loads(
     (Path(__file__).parent / "data" / "golden_protocol_config.json").read_text()
 )
+KERNEL = build_kernel(duel_kernel_fn, 5)
 DUEL = {"m": 1, "n": 1, "p": {"kind": "identity"}, "q": {"kind": "identity"}}
 TOSG = {
     "objective": {"kind": "affine", "c": [1, 1, 1]},
@@ -88,6 +89,9 @@ TOSG = {
         lambda: DuelSpec.from_dict({**DUEL, "p": {"kind": "power", "k": "2"}}),
         lambda: TimeVector(["0.5"]),
         lambda: MitigatingRiskParams.from_dict({"pi": True, "pn": 0.5, "ce": 1.0}),
+        lambda: imbed_objective(KERNEL, KERNEL.grid, "0.25"),
+        lambda: imbed_objective(KERNEL, KERNEL.grid, True),
+        lambda: imbed_objective(KERNEL, KERNEL.grid, np.True_),
     ],
 )
 def test_garbage_documents_raise_input_error(build):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csc_array
 
+from tosg import matrix_game
 from tosg.errors import InputError
 from tosg.matrix_game import (
     SADDLE_TOL,
@@ -533,6 +534,25 @@ class TestFictitiousPlay:
         game = criterion_08_games()[index]
         played = solve_fictitious_play(game, 10**5)
         stepped = fictitious_play_steps(game, 10**5)
+        assert played.iterations == stepped.iterations
+        assert abs(played.value - stepped.value) <= 1e-9
+        assert abs(played.residual - stepped.residual) <= 1e-9
+
+    def test_agrees_with_the_step_loop_past_a_short_run_estimate(self, monkeypatch):
+        # Here _overtaken_at estimates one run too short, so the run length is
+        # confirmed forward: the only _first call whose lower end exceeds 1.
+        lows = []
+        first = matrix_game._first
+
+        def recording_first(lo, hi, holds):
+            lows.append(lo)
+            return first(lo, hi, holds)
+
+        monkeypatch.setattr(matrix_game, "_first", recording_first)
+        game = PayoffMatrix([[-0.29, 0.85], [-0.12, -0.88]])
+        played = solve_fictitious_play(game, 417)
+        stepped = fictitious_play_steps(game, 417)
+        assert any(lo >= 2 for lo in lows)
         assert played.iterations == stepped.iterations
         assert abs(played.value - stepped.value) <= 1e-9
         assert abs(played.residual - stepped.residual) <= 1e-9

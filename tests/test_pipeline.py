@@ -148,6 +148,25 @@ class TestRunProtocol:
         assert abs(edges[0.0] - base) <= cell + 1e-12  # the limit member lands on base
         assert abs(edges[0.125] - base) <= abs(edges[0.5] - base) + 1e-12
 
+    def test_table_score_is_interpolated_over_the_grid(self):
+        points = [[0, 0], [0.5, 1], [1, 0.2]]
+        report = run_protocol(
+            ProtocolConfig.from_dict({**GOLDEN_CONFIG, "score": {"kind": "table", "points": points}})
+        )
+        base = build_kernel(duel_kernel_fn, 201)
+        scores = np.interp(base.grid, *zip(*points))
+        expected = solve_timing(imbed_objective(base, scores, 0.25))
+        assert np.array_equal(report.timing.strategy.weights, expected.strategy.weights)
+        assert report.optimal_timing_interval == (0.325, 1.0)
+        assert solve_timing(base).support_lo == 0.335
+
+    def test_zero_baselines_give_a_constant_score(self):
+        # d* = 0, so the decision value is constant along the path: every score is 0
+        report = run_protocol(ProtocolConfig.from_dict({**GOLDEN_CONFIG, "baselines": [0, 0, 0]}))
+        assert report.tosg.d_star == pytest.approx([0.0, 0.0, 0.0])
+        base = solve_timing(build_kernel(duel_kernel_fn, 201))
+        assert np.array_equal(report.timing.strategy.weights, base.strategy.weights)
+
     def test_stage_error_carries_partial_results(self):
         doc = copy.deepcopy(GOLDEN_CONFIG)
         doc["constraints"] = [

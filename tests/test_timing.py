@@ -44,14 +44,30 @@ class TestBuildKernel:
         assert np.all(kernel.matrix + kernel.matrix.T == 0.0)
 
     def test_scalar_only_generator(self):
-        # generators that reject array arguments fall back to the loop
+        # A is called once on grid arrays; a function that rejects them is an input error
         def gen(x, y):
             return math.exp(x) - math.exp(y)
 
-        kernel = build_kernel(gen, 7)
-        assert kernel.matrix[0, 6] == pytest.approx(1.0 - math.e)
+        with pytest.raises(InputError, match="A\\(x, y\\)"):
+            build_kernel(gen, 7)
 
-    def test_only_array_rejections_fall_back_to_the_loop(self):
+    @pytest.mark.parametrize(
+        "gen, full",
+        [
+            (lambda x, y: 0.5, lambda x, y: np.full_like(x, 0.5)),
+            (lambda x, y: y, lambda x, y: y),
+            (lambda x, y: x, lambda x, y: x),
+            # A need only be defined on x <= y: what it gives below is dropped
+            (lambda x, y: np.where(x <= y, x - y + x * y, np.nan), duel_kernel_fn),
+        ],
+    )
+    def test_generators_are_broadcast_over_the_grid(self, gen, full):
+        kernel = build_kernel(gen, 9)
+        x, y = np.meshgrid(kernel.grid, kernel.grid, indexing="ij")
+        strict = np.triu(full(x, y), 1)
+        assert np.array_equal(kernel.matrix, strict - strict.T)
+
+    def test_other_generator_errors_propagate_after_one_call(self):
         calls = []
 
         def gen(x, y):
@@ -61,6 +77,20 @@ class TestBuildKernel:
         with pytest.raises(MemoryError):
             build_kernel(gen, 5)
         assert len(calls) == 1
+
+    def test_broadcast_result_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(InputError):
+            build_kernel(lambda x, y: np.zeros(4), 5)
+
+    def test_build_peaks_at_three_grid_arrays(self):
+        grid_n = 801
+        tracemalloc.start()
+        try:
+            build_kernel(duel_kernel_fn, grid_n).matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * grid_n * grid_n * 8
 
     def test_oversized_grid_refused_before_allocation(self):
         grid_n = math.isqrt(MAX_STRATEGY_PAIRS) + 1  # grid_n**2 cells just over the cap
