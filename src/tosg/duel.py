@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InputError, SolverError
 from .matrix_game import (
     DUST_TOL,
-    MAX_STRATEGY_PAIRS,
     SADDLE_TOL,
     MixedStrategy,
     PayoffMatrix,
@@ -64,8 +63,6 @@ class AccuracyFunction:
                 raise InputError("accuracy must be 0 at t = 0 and 1 at t = 1")
             if any(b < a for a, b in zip(vs, vs[1:])):
                 raise InputError("accuracy values must be nondecreasing")
-            if any(not 0.0 <= v <= 1.0 for v in vs):
-                raise InputError("accuracy values must lie in [0, 1]")
             object.__setattr__(self, "points", pts)
         else:
             raise InputError(f"unknown accuracy kind {self.kind!r}")
@@ -321,42 +318,24 @@ def _profiles(subsets: np.ndarray, hit: np.ndarray, grid_n: int) -> tuple[np.nda
 class _SubsetProfiles:
     """One player's subsets in a growing restricted game, with their profiles.
 
-    ``alive`` and ``fire`` are those of _profiles over ``subsets``: views of
-    the rows in use of two arrays that double when full, up to the rows
-    guard_cells admits on the grid, so adding a subset copies no earlier
-    row.  A new subset's rows are a running product over its shots, with
-    the float operations of _profiles in its order, so they equal its rows
-    bit for bit.
+    ``alive`` and ``fire`` are those of _profiles over ``subsets``.  A new
+    subset's rows are a running product over its shots, with the float
+    operations of _profiles in its order, so they equal its rows bit for
+    bit; they are appended with np.vstack, as _GrowingGame appends payoffs.
     """
 
     def __init__(self, subsets: list[tuple[int, ...]], hit: np.ndarray):
         self.subsets = subsets
         self._hit = hit
-        self._alive, self._fire = _profiles(np.array(subsets), hit, hit.shape[0])
-
-    @property
-    def alive(self) -> np.ndarray:
-        return self._alive[: len(self.subsets)]
-
-    @property
-    def fire(self) -> np.ndarray:
-        return self._fire[: len(self.subsets)]
+        self.alive, self.fire = _profiles(np.array(subsets), hit, hit.shape[0])
 
     def add(self, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Append a sorted subset; return its alive and fire rows."""
-        used, grid_n = len(self.subsets), self._hit.shape[0]
-        if used == self._alive.shape[0]:
-            rows = min(2 * used, MAX_STRATEGY_PAIRS // grid_n)
-            self._alive, self._fire = (
-                np.concatenate([stack, np.empty((rows - used, grid_n))]) for stack in (self._alive, self._fire)
-            )
-        self.subsets.append(subset)
-        alive, fire = self._alive[used], self._fire[used]
+        alive, fire = np.empty(self._hit.shape[0]), self._hit * 0.0
         # _profiles multiplies alive by 1 - hit after each shot, and by 1
         # (exactly) elsewhere; off the shots, fire is alive * (hit * 0) =
         # hit * 0, since alive >= 0.
         hit = memoryview(self._hit)
-        np.multiply(self._hit, 0.0, out=fire)
         left, survive = 0, 1.0
         for g in subset:
             alive[left : g + 1] = survive
@@ -364,6 +343,8 @@ class _SubsetProfiles:
             survive *= 1.0 - hit[g]
             left = g + 1
         alive[left:] = survive
+        self.subsets.append(subset)
+        self.alive, self.fire = np.vstack([self.alive, alive]), np.vstack([self.fire, fire])
         return alive, fire
 
 

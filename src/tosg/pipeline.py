@@ -27,7 +27,7 @@ from .decision import (
     solve_tosg,
     tosg_value,
 )
-from .errors import InputError, StageError
+from .errors import InputError, SolverError, StageError
 from .matrix_game import _as_float_array, _as_int, _document, _field, _json_text, _time_table
 from .risk import MitigatingRiskParams, risk_mitigating
 from .timing import (
@@ -47,7 +47,7 @@ def imbed_objective(kernel: TimingKernel, g, weight: float) -> TimingKernel:
     ``g`` holds the scores over the kernel grid.  The shifted kernel is
     reassembled from its upper triangle, so it stays exactly
     skew-symmetric; weight 0 or a constant score leaves the kernel
-    unchanged.
+    unchanged.  A shift that overflows float64 raises SolverError.
     """
     weight = float(_as_float_array(weight, "imbedding weight", 0))
     if weight < 0.0:
@@ -55,8 +55,11 @@ def imbed_objective(kernel: TimingKernel, g, weight: float) -> TimingKernel:
     scores = _as_float_array(g, "score values", 1)
     if scores.shape != kernel.grid.shape:
         raise InputError("score values must match the kernel grid")
-    delta = weight * (scores[:, None] - scores[None, :])
-    return TimingKernel(grid=kernel.grid, a_upper=kernel.a_upper + delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_upper = kernel.a_upper + weight * (scores[:, None] - scores[None, :])
+    if not np.all(np.isfinite(a_upper)):
+        raise SolverError("the imbedding weight * (g(x) - g(y)) overflows the kernel")
+    return TimingKernel(grid=kernel.grid, a_upper=a_upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +159,8 @@ class ProtocolReport:
         return _json_text(self)
 
 
+# A value that overflows along the path leaves a non-finite score, reported once.
+@np.errstate(over="ignore", invalid="ignore")
 def _decision_path_scores(
     problem: TosgProblem, solution: TosgSolution, grid: np.ndarray
 ) -> np.ndarray:
@@ -163,7 +168,10 @@ def _decision_path_scores(
     lo, hi = raw.min(), raw.max()
     if hi - lo <= 0.0:
         return np.zeros_like(raw)
-    return (raw - lo) / (hi - lo)
+    scores = (raw - lo) / (hi - lo)
+    if not np.all(np.isfinite(scores)):
+        raise SolverError("the decision value overflows along the path t * d*")
+    return scores
 
 
 @contextmanager
@@ -231,6 +239,6 @@ def run_protocol(config: ProtocolConfig) -> ProtocolReport:
         kernel_summary=kernel_summary,
         timing=timing_solution,
         optimal_timing_interval=(timing_solution.support_lo, 1.0),
-        decision_score=tosg_value(problem, tosg_solution.d_star, tosg_solution.multipliers),
+        decision_score=tosg_solution.tosg_value,
         provenance={"config_sha256": config.sha256(), "seed": config.seed},
     )

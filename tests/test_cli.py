@@ -382,6 +382,23 @@ class TestRunProtocol:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "stage 'decision'" in err
 
+    @pytest.mark.parametrize(
+        "changes,stage",
+        [
+            ({"lambda": 1e10, "score": {"kind": "table", "points": [[0, 0], [1, 1e300]]}}, "imbed"),
+            ({"baselines": [1, 2, 1e154]}, "score"),
+        ],
+        ids=["imbedding", "decision-path-score"],
+    )
+    def test_overflowing_stage_is_exit_one(self, tmp_path, capsys, changes, stage):
+        # Finite inputs whose stage arithmetic overflows float64: one error
+        # line naming the stage, and no numpy RuntimeWarning before it.
+        code, out, err = run(capsys, "run-protocol", write(tmp_path, "config.json", {**GOLDEN_CONFIG, **changes}))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"stage '{stage}'" in err
+
 
 # The README's example documents; MATRIX above is its payoff matrix.
 README_DUEL = {"m": 2, "n": 6, "p": {"kind": "identity"}, "q": {"kind": "power", "k": 2}}
@@ -811,7 +828,7 @@ SEED_DOCUMENTS = {
     "run-protocol": ((), {**GOLDEN_CONFIG, "grid_n": 11}),
 }
 DELETE = object()
-FIELD_VALUES = [None, True, 0, -1, 2.5, 10**400, math.inf, math.nan, 1e308, "x", [], {}, [1, 2]]
+FIELD_VALUES = [None, True, 0, -1, 2.5, 10**400, math.inf, math.nan, 1e308, 1e154, "x", [], {}, [1, 2]]
 
 
 def field_paths(doc, prefix=()):

@@ -505,7 +505,12 @@ class TestSolveDuel:
 
     @pytest.mark.parametrize(
         "grid_n,rounds,value",
-        [(21, 29, -0.4729288409874951), (41, 66, -0.49231379157902144), (81, 152, -0.4936401803344723)],
+        [
+            (21, 29, -0.4729288409874951),
+            (41, 66, -0.49231379157902144),
+            (81, 152, -0.4936401803344723),
+            (101, 223, -0.49367023201907834),
+        ],
     )
     def test_two_versus_six_double_oracle_path(self, monkeypatch, grid_n, rounds, value):
         # The round count and the value's bits pin the path the double
