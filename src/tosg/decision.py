@@ -259,7 +259,8 @@ def solve_tosg(problem: TosgProblem) -> TosgSolution:
     feasible point and the recovered multipliers.  Raises
     DegenerateProblemError on a singular KKT matrix and ConvergenceError
     (with residuals attached) when _MAX_STEPS Newton steps do not bring
-    both residuals to _KKT_TOL.
+    both residuals to _KKT_TOL, and SolverError unless the point is a
+    constrained maximum (Nocedal & Wright, 2nd ed., Thm. 12.6).
     """
     n = problem.dimension
     d = np.zeros(n)
@@ -277,6 +278,9 @@ def solve_tosg(problem: TosgProblem) -> TosgSolution:
     steps = 0
     while True:
         lagrangian_grad, jac, deviation = residuals(d, multipliers)
+        hess = np.asarray(problem.objective.hessian(d), dtype=float)
+        for mult, constraint in zip(multipliers, problem.constraints):
+            hess = hess + mult * constraint.hessian(d)
         stationarity = float(np.abs(lagrangian_grad).max())
         feasibility = float(np.abs(deviation).max())
         if stationarity <= _KKT_TOL and feasibility <= _KKT_TOL:
@@ -288,9 +292,6 @@ def solve_tosg(problem: TosgProblem) -> TosgSolution:
                 feasibility_residual=feasibility,
             )
 
-        hess = np.asarray(problem.objective.hessian(d), dtype=float)
-        for mult, constraint in zip(multipliers, problem.constraints):
-            hess = hess + mult * constraint.hessian(d)
         kkt = np.block([[hess, jac.T], [jac, np.zeros((3, 3))]])
         rhs = -np.concatenate([lagrangian_grad, deviation])
         try:
@@ -303,6 +304,16 @@ def solve_tosg(problem: TosgProblem) -> TosgSolution:
         multipliers = multipliers + step[n:]
         steps += 1
 
+    # A maximum needs the Lagrangian's Hessian H negative definite on J's
+    # null space Z: the right singular vectors past J's rank (none at n = 3
+    # when J has full rank, as in the golden config).
+    _, singular, right = np.linalg.svd(jac)
+    null = right[np.count_nonzero(singular > singular.max() * n * np.finfo(float).eps) :].T
+    curvature = np.linalg.eigvalsh(null.T @ hess @ null).max(initial=-np.inf)
+    if not curvature < 0.0:
+        raise SolverError(
+            f"the stationary point is not a constrained maximum: Z^T H Z has eigenvalue {curvature:.3e}"
+        )
     mults = tuple(float(m) for m in multipliers)
     value = tosg_value(problem, d, mults)
     if not np.isfinite(value):

@@ -14,17 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import InputError
 from .matrix_game import (
     DUST_TOL,
-    SADDLE_TOL,
     MixedStrategy,
     PayoffMatrix,
     _as_float_array,
     _as_int,
     _field,
-    _GrowingGame,
+    _LP,
+    _load_lp,
+    _solve_lp,
     _time_table,
+    _verified_gap,
     guard_cells,
 )
 # Called nowhere: kept only for perfbench/spans.py's WRAPS; ROADMAP item 2 removes it.
@@ -315,39 +317,6 @@ def _profiles(subsets: np.ndarray, hit: np.ndarray, grid_n: int) -> tuple[np.nda
     return alive, alive * (hit[None, :] * incidence)
 
 
-class _SubsetProfiles:
-    """One player's subsets in a growing restricted game, with their profiles.
-
-    ``alive`` and ``fire`` are those of _profiles over ``subsets``.  A new
-    subset's rows are a running product over its shots, with the float
-    operations of _profiles in its order, so they equal its rows bit for
-    bit; they are appended with np.vstack, as _GrowingGame appends payoffs.
-    """
-
-    def __init__(self, subsets: list[tuple[int, ...]], hit: np.ndarray):
-        self.subsets = subsets
-        self._hit = hit
-        self.alive, self.fire = _profiles(np.array(subsets), hit, hit.shape[0])
-
-    def add(self, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Append a sorted subset; return its alive and fire rows."""
-        alive, fire = np.empty(self._hit.shape[0]), self._hit * 0.0
-        # _profiles multiplies alive by 1 - hit after each shot, and by 1
-        # (exactly) elsewhere; off the shots, fire is alive * (hit * 0) =
-        # hit * 0, since alive >= 0.
-        hit = memoryview(self._hit)
-        left, survive = 0, 1.0
-        for g in subset:
-            alive[left : g + 1] = survive
-            fire[g] = survive * hit[g]
-            survive *= 1.0 - hit[g]
-            left = g + 1
-        alive[left:] = survive
-        self.subsets.append(subset)
-        self.alive, self.fire = np.vstack([self.alive, alive]), np.vstack([self.fire, fire])
-        return alive, fire
-
-
 def discretize_duel(spec: DuelSpec, grid_n: int) -> PayoffMatrix:
     """Payoff matrix over all sorted shot-time subsets of a uniform grid.
 
@@ -370,10 +339,8 @@ def discretize_duel(spec: DuelSpec, grid_n: int) -> PayoffMatrix:
     return PayoffMatrix(row_fire @ col_alive.T - row_alive @ col_fire.T)
 
 
-def _best_response(
-    opp_alive: np.ndarray, opp_fire: np.ndarray, hit: np.ndarray, shots: int
-) -> tuple[float, tuple[int, ...]]:
-    """Best sorted shot subset against an opponent's mixed profile, and its gain.
+def _best_response(opp_alive: np.ndarray, opp_fire: np.ndarray, hit: np.ndarray, shots: int) -> float:
+    """The best gain of a sorted shot subset against an opponent's mixed profile.
 
     A player's gain against the opponent's expected alive profile A and fire
     profile F is sum_g alive[g] * (hit[g] * fires[g] * A[g] - F[g]), so a
@@ -391,60 +358,24 @@ def _best_response(
     profiles: numpy calls on arrays of shots + 1 floats cost more than the
     arithmetic.  Each grid step updates W in place for k from
     min(shots, grid_n - g) down to 1, then sets W(g, 0) = W(g+1, 0) - F[g].
-    The float operations and their order are fixed, because the double
-    oracle's path depends on how ties break: hold = W(g+1, k) - F[g],
+    The float operations and their order are fixed, because solve_duel's
+    reported value is built from the gain: hold = W(g+1, k) - F[g],
     fire = (hit[g] A[g] - F[g]) + (1 - hit[g]) W(g+1, k-1), and fire wins
-    only if fire > hold, so ties hold.  The choices go to a table of one
-    byte per (g, k) cell, grid_n * (shots + 1) bytes, which solve_duel's
-    guard_cells bounds; the best subset is read forward from it.
+    only if fire > hold, so ties hold.
     """
     grid_n = hit.shape[0]
     alive, fired, hits = (
         memoryview(np.ascontiguousarray(v, dtype=float)) for v in (opp_alive, opp_fire, hit)
     )
-    width = shots + 1
     value = [0.0] + [-math.inf] * shots
-    fires = bytearray(grid_n * width)
     for g in range(grid_n - 1, -1, -1):
         h, f = hits[g], fired[g]
-        gain, miss, cell = h * alive[g] - f, 1.0 - h, g * width
+        gain, miss = h * alive[g] - f, 1.0 - h
         for k in range(min(shots, grid_n - g), 0, -1):
-            hold = value[k] - f
-            fire = gain + miss * value[k - 1]
-            if fire > hold:
-                value[k] = fire
-                fires[cell + k] = 1
-            else:
-                value[k] = hold
+            hold, fire = value[k] - f, gain + miss * value[k - 1]
+            value[k] = fire if fire > hold else hold
         value[0] -= f
-    subset, left = [], shots
-    for g in range(grid_n):
-        if left and fires[g * width + left]:
-            subset.append(g)
-            left -= 1
-    return value[shots], tuple(subset)
-
-
-def _seed_subsets(grid_n: int, shots: int) -> list[tuple[int, ...]]:
-    # A one-shot player's subsets are the grid points; a multi-shot player
-    # starts from its latest firing times.
-    if shots == 1:
-        return [(g,) for g in range(grid_n)]
-    return [tuple(range(grid_n - shots, grid_n))]
-
-
-def _guard_restricted(rows: int, cols: int, grid_n: int) -> None:
-    # The restricted game and both players' profile arrays.
-    guard_cells(
-        max(rows * cols, rows * grid_n, cols * grid_n),
-        f"restricted game of {rows} x {cols} subsets on {grid_n} grid points",
-    )
-
-
-def _time_marginal(weights: np.ndarray, subsets: np.ndarray, grid_n: int, shots: int) -> np.ndarray:
-    marginal = np.zeros(grid_n)
-    np.add.at(marginal, subsets.ravel(), np.repeat(weights / shots, shots))
-    return marginal / marginal.sum()
+    return value[shots]
 
 
 def _support_interval(grid: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -453,61 +384,141 @@ def _support_interval(grid: np.ndarray, weights: np.ndarray) -> tuple[float, flo
     return lo, 1.0
 
 
+class _FlowGraph:
+    """One player's gain-flow graph on the grid, whose unit flows are its mixed strategies.
+
+    Nodes (g, k), grid point g with k shots left that can all still be
+    fired, are numbered by g, then k, from the source (0, shots) to the
+    sink (grid_n, 0), node ``nodes``; so are edges, hold (gain 1, to (g+1,
+    k)) before fire (gain 1 - hit[g], to (g+1, k-1)).  A subset's path
+    carries the chance that every earlier shot missed, so alive[g] is the
+    layer-g flow and fire[g] hit[g] times its fire-edge flow.
+    """
+
+    def __init__(self, hit: np.ndarray, shots: int):
+        grid_n = hit.shape[0]
+        g, k = np.arange(grid_n + 1)[:, None], np.arange(shots + 1)
+        valid = (k >= shots - g) & (k <= grid_n - g)
+        ids = np.cumsum(valid).reshape(valid.shape) - 1
+        exists = np.stack([valid[:-1] & (k < grid_n - g[:-1]), valid[:-1] & (k >= 1)], axis=2)
+        self.layer, left, fired = np.nonzero(exists)
+        self.hit, self.shots, self.nodes, self.fires = hit, shots, int(ids[-1, 0]), fired == 1
+        self.tail, self.head = ids[self.layer, left], ids[self.layer + 1, left - fired]
+        self.gain = np.where(self.fires, 1.0 - hit[self.layer], 1.0)
+
+    def behaviour(self, flow: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (alive, fire) profile and per-shot time marginal of a flow's behavioural strategy.
+
+        Each edge takes its share of its node's outflow (a node without
+        outflow sends all along its first edge), played forward from the
+        source: a real strategy even where an LP's flow conserves only to
+        tolerance.  A
+        player in the duel has learned nothing, so the marginal is the
+        fire-edge mass with every gain 1, per shot.
+        """
+        out = np.bincount(self.tail, flow, self.nodes)[self.tail]
+        first = np.append(True, self.tail[1:] != self.tail[:-1])
+        share = np.divide(flow, out, out=first.astype(float), where=out > 0.0)
+        # A scalar pass, as in _best_response; edges run in layer order.
+        grid_n = self.hit.shape[0]
+        at, plan = [1.0] + [0.0] * self.nodes, [1.0] + [0.0] * self.nodes
+        alive, fire, marginal = [0.0] * grid_n, [0.0] * grid_n, [0.0] * grid_n
+        edges = (a.tolist() for a in (self.layer, self.tail, self.head, self.gain, self.fires, share))
+        for g, i, j, gain, fires, s in zip(*edges):
+            x, y = at[i] * s, plan[i] * s
+            alive[g] += x
+            at[j] += gain * x
+            plan[j] += y
+            if fires:
+                fire[g] += x
+                marginal[g] += y
+        return np.array(alive), self.hit * np.array(fire), np.array(marginal) / self.shots
+
+
+def _duel_lp(rows: _FlowGraph, cols: _FlowGraph) -> _LP:
+    """The sequence-form LP of the duel on its players' flow graphs.
+
+    Against the row flow z, column flow y pays sum_e c_e y_e: c_e =
+    fire_r[g] on a layer-g hold edge, fire_r[g] - q[g] alive_r[g] on a fire
+    edge (discretize_duel's payoff).  Dualized, the LP maximizes u(source)
+    over z and potentials u (0 at the sink): a ``<= 0`` row u_i - gain_e
+    u_j - c_e(z) per column edge e = i -> j, then z's conservation rows,
+    with exact zeros left out.  y is the negated duals of the edge rows.
+    """
+    z_cols, edge_rows = len(rows.layer), len(cols.layer)
+    # Each row edge meets every column edge of its layer; column edges are numbered by layer.
+    per_layer = np.bincount(cols.layer, minlength=rows.hit.shape[0])
+    meets = per_layer[rows.layer]
+    z_of = np.repeat(np.arange(z_cols), meets)
+    g = rows.layer[z_of]
+    edge_of = np.arange(len(z_of)) - np.repeat(np.cumsum(meets) - meets, meets)
+    edge_of += (np.cumsum(per_layer) - per_layer)[g]
+    inner, inward = cols.head < cols.nodes, rows.head < rows.nodes
+    row, col, value = (np.concatenate(part) for part in zip(
+        (edge_of, z_of, cols.hit[g] * cols.fires[edge_of] - rows.hit[g] * rows.fires[z_of]),
+        (np.arange(edge_rows), z_cols + cols.tail, np.ones(edge_rows)),
+        (np.flatnonzero(inner), z_cols + cols.head[inner], -cols.gain[inner]),
+        (edge_rows + rows.tail, np.arange(z_cols), np.ones(z_cols)),
+        (edge_rows + rows.head[inward], np.flatnonzero(inward), -rows.gain[inward]),
+    ))
+    keep = value != 0.0
+    row, col, value = row[keep], col[keep], value[keep]
+    num_col = z_cols + cols.nodes
+    # No (row, column) pair repeats, so one key orders the entries column-wise.
+    order = np.argsort(col * (edge_rows + rows.nodes) + row)
+    start = np.append(0, np.cumsum(np.bincount(col, minlength=num_col))).astype(np.int32)
+    cost, balance = np.zeros(num_col), np.zeros(rows.nodes)
+    cost[z_cols] = -1.0  # the column source's potential, maximized
+    balance[0] = 1.0
+    # A unit flow is at most 1 on every edge.  The bound is implied, but
+    # the dual simplex solves in fewer iterations with z boxed, and y stays
+    # a best response: z's best response to y satisfies it anyway.
+    return _LP(
+        cost, np.append(np.zeros(z_cols), np.full(cols.nodes, -np.inf)),
+        np.append(np.ones(z_cols), np.full(cols.nodes, np.inf)),
+        np.append(np.full(edge_rows, -np.inf), balance), np.append(np.zeros(edge_rows), balance),
+        start, row[order].astype(np.int32), value[order],
+    )
+
+
 def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
-    """Solve the discretized duel by double oracle and report per-shot time densities.
+    """Solve the discretized duel as one sequence-form LP and report per-shot time densities.
 
-    The game is the one discretize_duel builds, but the full matrix is never
-    formed.  Each round solves the restricted game over the subsets found so
-    far and adds each player's exact best response over all sorted subsets
-    of the grid (_best_response).  Those responses bound the full game's
-    value: ``lower`` is what the column player can hold the row mixture to,
-    ``upper`` what the row player can get off the column mixture.  The loop
-    stops once upper - lower <= SADDLE_TOL; value is their midpoint and residual
-    their gap, so the saddle contract holds against the full game.
-
-    The restricted game and both players' subset profiles persist across
-    rounds: a new subset adds one profile row and one row or column of
-    payoffs to a _GrowingGame, whose LP re-solves warm from its last basis;
-    a warm solve it cannot certify is solved once more on a reloaded model.
-
-    A one-shot player starts with every grid point, so a 1-vs-1 duel is one
-    round on the full matrix; a multi-shot player starts from its latest
-    firing times.  The size cap (guard_cells) bounds the best-response
-    tables (grid_n * (shots + 1)) and every restricted game and profile,
-    checked before allocation; 2-vs-6 attempts solve well past grid 21.
+    The game is discretize_duel's, but only _duel_lp, of O(grid_n * shots)
+    size, is built and solved.  Exact best responses (_best_response) to
+    the behavioural strategies of its row and column flows bound the full
+    game's value: ``lower`` is what the column player can hold the row
+    strategy to, ``upper`` what the row player can get off the column
+    strategy.  value is their midpoint and residual their gap; a gap above
+    SADDLE_TOL fails the run.  As in _certify, a skew-symmetric game (equal
+    shots and accuracies) gives both players whichever strategy guarantees
+    more.  guard_cells bounds the LP's nonzeros, and so every array, first.
     """
     _check_grid(spec, grid_n)
-    shots = max(spec.m, spec.n)
-    guard_cells(
-        grid_n * (shots + 1), f"the best-response table for {shots} shots on {grid_n} grid points"
-    )
-    # The seed sizes of _seed_subsets, checked before the seeds are built.
-    _guard_restricted(*(grid_n if k == 1 else 1 for k in (spec.m, spec.n)), grid_n)
+    m, n = spec.m, spec.n
+    # Per layer: m or 2m + 1 row-edge entries in each column edge's row, two
+    # potentials per column edge, and two conservation entries per row edge.
+    nonzeros = (n + 1) * m + n * (2 * m + 1) + 2 * (2 * n + 1) + 2 * (2 * m + 1)
+    guard_cells(grid_n * nonzeros, f"the {m}-vs-{n} sequence-form LP on {grid_n} grid points")
     grid, p_hit, q_hit = _hits(spec, grid_n)
-    rows = _SubsetProfiles(_seed_subsets(grid_n, spec.m), p_hit)
-    cols = _SubsetProfiles(_seed_subsets(grid_n, spec.n), q_hit)
-    model = _GrowingGame(rows.fire @ cols.alive.T - rows.alive @ cols.fire.T)
-    while True:
-        sigma, tau, _, _ = model.solve()
-        col_gain, col_best = _best_response(sigma @ rows.alive, sigma @ rows.fire, q_hit, spec.n)
-        upper, row_best = _best_response(tau @ cols.alive, tau @ cols.fire, p_hit, spec.m)
-        lower = -col_gain
-        gap = max(upper - lower, 0.0)
-        if gap <= SADDLE_TOL:
-            break
-        new_row, new_col = row_best not in rows.subsets, col_best not in cols.subsets
-        if not (new_row or new_col):
-            raise SolverError(f"double oracle stalled at verified gap {gap:.3e} above {SADDLE_TOL:.3e}")
-        _guard_restricted(len(rows.subsets) + new_row, len(cols.subsets) + new_col, grid_n)
-        if new_row:
-            alive, fire = rows.add(row_best)
-            model.add_row(fire @ cols.alive.T - alive @ cols.fire.T)
-        if new_col:
-            alive, fire = cols.add(col_best)
-            model.add_col(rows.fire @ alive - rows.alive @ fire)
+    rows, cols = _FlowGraph(p_hit, m), _FlowGraph(q_hit, n)
+    symmetric = m == n and np.array_equal(p_hit, q_hit)
 
-    p1 = _time_marginal(sigma, np.array(rows.subsets), grid_n, spec.m)
-    p2 = _time_marginal(tau, np.array(cols.subsets), grid_n, spec.n)
+    def certify(x: np.ndarray, duals: np.ndarray):
+        row_alive, row_fire, p1 = rows.behaviour(np.maximum(x[: len(rows.layer)], 0.0))
+        col_alive, col_fire, p2 = cols.behaviour(np.maximum(-duals[: len(cols.layer)], 0.0))
+        lower = -_best_response(row_alive, row_fire, q_hit, n)
+        upper = _best_response(col_alive, col_fire, p_hit, m)
+        if symmetric:
+            # The column strategy, played as the row, guarantees -upper.
+            if -upper > lower:
+                p1, lower = p2, -upper
+            p2, upper = p1, -lower
+        _verified_gap(lower, upper)
+        return p1, p2, lower, upper
+
+    name = "sequence-form LP"
+    p1, p2, lower, upper = _solve_lp(_load_lp(_duel_lp(rows, cols), name), certify, name)
     return DuelSolution(
         value=0.5 * (lower + upper),
         p1_density=MixedStrategy(p1),
@@ -515,5 +526,5 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
         support_p1=_support_interval(grid, p1),
         support_p2=_support_interval(grid, p2),
         grid_n=grid_n,
-        residual=gap,
+        residual=max(upper - lower, 0.0),
     )

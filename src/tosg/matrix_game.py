@@ -1,7 +1,7 @@
 """Finite zero-sum two-person matrix games.
 
 The row player maximizes, the column player minimizes.  Games are solved
-either exactly (one HiGHS linear program, held in a _GrowingGame) or
+either exactly (one HiGHS linear program, solved by _solve_lp) or
 iteratively (fictitious play); both solvers report a verified saddle gap
 computed from the returned strategies, never from solver-internal objectives.
 """
@@ -15,8 +15,10 @@ import importlib.util
 import json
 import os
 import sys
+from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +32,8 @@ DUST_TOL = 1e-6
 SADDLE_TOL = 1e-9
 # The most cells any one large array may hold (96 MB of float64): the full
 # duel matrix of discretize_duel (a 21-point grid at 2-vs-6 attempts has
-# 11,395,440 pure pairs), solve_duel's best-response tables and its
-# restricted games and subset profiles, and the grid_n**2 timing kernel
+# 11,395,440 pure pairs), the nonzeros of solve_duel's sequence-form LP
+# (which also bound its flow graphs), and the grid_n**2 timing kernel
 # (grids up to 3,464 points).
 MAX_STRATEGY_PAIRS = 12_000_000
 
@@ -231,6 +233,14 @@ def _normalized(x: np.ndarray) -> np.ndarray:
 _Certified = tuple[np.ndarray, np.ndarray, float, float]
 
 
+def _verified_gap(lower: float, upper: float) -> float:
+    """The saddle gap of two verified security levels; SolverError above SADDLE_TOL."""
+    gap = max(upper - lower, 0.0)
+    if gap > SADDLE_TOL:
+        raise SolverError(f"saddle gap {gap:.3e} exceeds tol {SADDLE_TOL:.3e}")
+    return gap
+
+
 def _certify(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> _Certified:
     """The strategies certified by the row LP's primal x and column-row duals.
 
@@ -252,9 +262,7 @@ def _certify(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> _Certified:
         tau = sigma
     lower = float((sigma @ a).min())
     upper = float((a @ tau).max())
-    gap = max(upper - lower, 0.0)
-    if gap > SADDLE_TOL:
-        raise SolverError(f"saddle gap {gap:.3e} exceeds tol {SADDLE_TOL:.3e}")
+    _verified_gap(lower, upper)
     return sigma, tau, lower, upper
 
 
@@ -272,21 +280,32 @@ def _exact_solution(sigma: np.ndarray, tau: np.ndarray, lower: float, upper: flo
 def solve_exact(game: PayoffMatrix) -> GameSolution:
     """Solve the game by linear programming.
 
-    The solve of a fresh _GrowingGame: its HiGHS program maximizes v
-    subject to sigma^T A >= v per column, and the column strategy is read
-    from the duals of those column constraints.  The reported value is the
-    midpoint of the verified security levels of the two returned strategies
-    and the residual is their gap, so the saddle contract
+    One HiGHS program, _row_lp, maximizes v subject to sigma^T A >= v per
+    column, and the column strategy is read from the duals of those column
+    constraints.  The reported value is the midpoint of the verified
+    security levels of the two returned strategies and the residual is
+    their gap, so the saddle contract
 
         payoff(sigma*, any pure column) >= value - residual
         payoff(any pure row, tau*) <= value + residual
 
     holds by construction; _certify states the skew-symmetric rule and
-    raises SolverError on a gap above SADDLE_TOL.  A solve that HiGHS does
-    not finish, or that falls short of SADDLE_TOL, is recovered as
-    _GrowingGame.solve describes.
+    raises SolverError on a gap above SADDLE_TOL.  If both runs of
+    _solve_lp's ladder fail, the shifted game A + 1 - min A, whose entries
+    are all at least 1, climbs it too, certified against A: sigma is the
+    same under the shift, and tau still comes from the duals.
     """
-    return _exact_solution(*_GrowingGame(game.entries).solve())
+    a = game.entries
+
+    def certify(x: np.ndarray, duals: np.ndarray) -> _Certified:
+        # The v column and the sum row come last.
+        return _certify(a, x[:-1], duals[:-1])
+
+    model = _load_lp(_row_lp(a), "row LP")
+    with suppress(SolverError):
+        return _exact_solution(*_solve_lp(model, certify, "row LP"))
+    shifted = _load_lp(_row_lp(a, 1.0 - float(a.min())), "row LP")
+    return _exact_solution(*_solve_lp(shifted, certify, "row LP"))
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -328,144 +347,100 @@ def _highs_core():
     return core
 
 
-class _GrowingGame:
-    """A game's row LP in one HiGHS model that can grow with the game.
+class _LP(NamedTuple):
+    """Minimize cost @ x within the column and row bounds; the matrix is column-wise
+    (column j holds value[start[j]:start[j + 1]] in the rows index[start[j]:start[j + 1]])."""
 
-    solve() is the one way to solve it, solve_exact's included, and holds
-    the recovery ladder.  HiGHS drops matrix entries at or below
-    ``small_matrix_value``, 1e-9 by default, which leaves a game of such
-    entries short of the saddle contract, so the model keeps every entry
-    above 1e-12, the least HiGHS accepts.  A new
-    game row is a new LP column and a new game column a new ``<= 0`` LP
-    row, appended after _load's v column and sum row.  So the LP positions
-    follow from the layout, with no index kept: game row i is LP column
-    ``i + (i >= _v_col)``, game column j is LP row ``j + (j >= _sum_row)``,
-    and a solution is read by dropping the v column and the sum row.
-    HiGHS keeps its basis across the changes, so each later solve is a
-    warm-started dual simplex.  The first run after a load is cold and runs
-    without presolve: on a dense game it removes nothing, and skipping it
-    takes the 201-point timing LP from about 35 to 26 ms and the 801-point
-    one from about 1.5 to 1.35 s (2 vCPUs), with the same iterations and
-    bit-identical results.  Every other run has presolve on, since warm
-    solves without it were slower (5.4 vs 4.1 s for the 2-vs-6 double
-    oracle at grid 161).  Every solve is certified by _certify against
-    the grown matrix and returns its (sigma, tau, lower, upper), with no
-    GameSolution built.  This drives HiGHS through scipy's private
-    ``_highspy`` binding, whose methods scipy may change between minor
-    releases (pyproject pins it).  The binding is loaded on the first
-    model a process builds, and not with tosg, by _highs_core: the
-    extension file alone, without scipy.optimize, about 0.02 s.
+    cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+
+def _load_lp(lp: _LP, name: str):
+    """A fresh HiGHS model holding ``lp``, with the options every solve uses.
+
+    HiGHS drops matrix entries up to ``small_matrix_value``, 1e-9 by
+    default, which leaves a game of such entries short of the saddle
+    contract, so the model keeps every entry above 1e-12, the least HiGHS
+    accepts.  HiGHS is driven through scipy's private ``_highspy`` binding,
+    which pyproject pins, loaded by _highs_core on the first model.
     """
+    core = _highs_core()
+    highs = core._Highs()
+    options = {
+        "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+        "output_flag": False,
+        "log_to_console": False,
+        "small_matrix_value": 1e-12,
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10,
+    }
+    for key, value in options.items():
+        highs.setOptionValue(key, value)
+    num_col = len(lp.cost)
+    # num_col, num_row, num_nz, format, sense, offset, costs, column and
+    # row bounds, the matrix, and integrality (all continuous).
+    status = highs.passModel(
+        num_col, len(lp.row_lower), len(lp.index), int(core.MatrixFormat.kColwise),
+        int(core.ObjSense.kMinimize), 0.0, lp.cost, lp.col_lower, lp.col_upper,
+        lp.row_lower, lp.row_upper, lp.start, lp.index, lp.value, np.zeros(num_col, dtype=np.int32),
+    )
+    if status == core.HighsStatus.kError:
+        raise SolverError(f"HiGHS refused the game's {name}")
+    return highs
 
-    def __init__(self, entries: np.ndarray):
-        self._core = _core = _highs_core()
-        self._highs = _core._Highs()
-        options = {
-            "simplex_strategy": _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
-            "output_flag": False,
-            "log_to_console": False,
-            "small_matrix_value": 1e-12,
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        }
-        for key, value in options.items():
-            self._highs.setOptionValue(key, value)
-        self._load(np.asarray(entries, dtype=float))
 
-    def _load(self, a: np.ndarray, shift: float = 0.0) -> None:
-        """Replace the model, basis included, by the row LP of game ``a + shift``.
+def _solve_lp(highs, certify: Callable[[np.ndarray, np.ndarray], tuple], name: str) -> tuple:
+    """``certify(x, duals)`` of the first run of a _load_lp model that it accepts.
 
-        The LP matrix is column-wise: LP column i holds game row i's payoffs
-        negated in the ``<= 0`` rows and a 1 in the sum row, and the v
-        column holds a 1 in every ``<= 0`` row.  Exact zeros are left out,
-        as a sparse matrix built from the dense layout leaves them out.
-        ``entries`` stays ``a``, which every solve is certified against, and
-        add_row and add_col shift their payoffs alike.  The model is fresh
-        until its next run, which is cold.
-        """
-        m, n = a.shape
-        self.entries, self._shift = a, shift
-        body = np.column_stack([-a - shift, np.ones(m)])
-        keep = body != 0.0
-        start = np.zeros(m + 2, dtype=np.int32)
-        start[1:] = np.cumsum(np.append(keep.sum(axis=1), n))
-        index = np.concatenate([np.nonzero(keep)[1], np.arange(n)]).astype(np.int32)
-        value = np.concatenate([body[keep], np.ones(n)])
-        # num_col, num_row, num_nz, format, sense, offset, costs, column and
-        # row bounds, the matrix, and integrality (all continuous).
-        status = self._highs.passModel(
-            m + 1, n + 1, len(index), int(self._core.MatrixFormat.kColwise),
-            int(self._core.ObjSense.kMinimize), 0.0,
-            np.append(np.zeros(m), -1.0), np.append(np.zeros(m), -np.inf), np.full(m + 1, np.inf),
-            np.append(np.full(n, -np.inf), 1.0), np.append(np.zeros(n), 1.0),
-            start, index, value, np.zeros(m + 1, dtype=np.int32),
-        )
-        if status == self._core.HighsStatus.kError:
-            raise SolverError("HiGHS refused the game's row LP")
-        self._v_col, self._sum_row = m, n
-        self._fresh = True
+    The one HiGHS driver.  x is the primal and duals the row duals,
+    nonpositive on ``<=`` rows; certify raises SolverError to reject them.
+    Only a failed run moves down the ladder, and a failed last rung raises:
 
-    def add_row(self, payoffs: np.ndarray) -> None:
-        """Append a game row: its payoff against every current column."""
-        payoffs = np.asarray(payoffs, dtype=float)
-        self.entries = np.vstack([self.entries, payoffs])
-        lp = -payoffs - self._shift
-        at = np.flatnonzero(lp)
-        rows = np.append(at + (at >= self._sum_row), self._sum_row).astype(np.int32)
-        self._add(self._highs.addCol(0.0, 0.0, np.inf, len(rows), rows, np.append(lp[at], 1.0)))
+    1. A cold run without presolve: on a dense game it removes nothing, and
+       skipping it takes the 201-point timing LP from about 35 to 26 ms and
+       the 801-point one from about 1.5 to 1.35 s (2 vCPUs), with the same
+       iterations and bit-identical results.  Entries of about 1e-12 to
+       1e-9 beside O(1) ones can end it at ``Not Set`` or ``Unknown``, or
+       short of SADDLE_TOL.
+    2. The same model again, now with presolve.
+    """
+    for presolve in ("off", "on"):
+        highs.setOptionValue("presolve", presolve)
+        highs.run()
+        status = highs.getModelStatus()
+        try:
+            if status != _highs_core().HighsModelStatus.kOptimal:
+                raise SolverError(f"{name} failed: {highs.modelStatusToString(status)}")
+            solution = highs.getSolution()
+            return certify(np.array(solution.col_value), np.array(solution.row_dual))
+        except SolverError:
+            if presolve == "on":
+                raise
 
-    def add_col(self, payoffs: np.ndarray) -> None:
-        """Append a game column: every current row's payoff against it."""
-        payoffs = np.asarray(payoffs, dtype=float)
-        self.entries = np.column_stack([self.entries, payoffs])
-        lp = -payoffs - self._shift
-        at = np.flatnonzero(lp)
-        cols = np.append(at + (at >= self._v_col), self._v_col).astype(np.int32)
-        self._add(self._highs.addRow(-np.inf, 0.0, len(cols), cols, np.append(lp[at], 1.0)))
 
-    def _add(self, status) -> None:
-        if status == self._core.HighsStatus.kError:
-            raise SolverError("HiGHS refused a new row or column of the game")
+def _row_lp(a: np.ndarray, shift: float = 0.0) -> _LP:
+    """The row LP of game ``a + shift``: maximize v subject to sigma^T (A + shift) >= v per column.
 
-    def solve(self) -> _Certified:
-        """The certified solution of the game as it stands, from the first rung that gives one.
-
-        1. A warm run from the last basis, if the model has run since its
-           last load; it can fall short of SADDLE_TOL where a cold run does not.
-        2. A reload of the grown game, and
-        3. a cold run.  Entries of about 1e-12 to 1e-9 beside O(1) ones can
-           end it at ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.
-        4. The same model again, now with presolve.
-        5. The shifted game A + 1 - min A, whose entries are all at least 1,
-           loaded and run cold.  Its strategies are certified against A:
-           sigma is the same under the shift, and tau still comes from the
-           duals.
-
-        Only a failed run moves down, so a game that solves at once keeps
-        its bits.  SolverError if the last rung fails too.
-        """
-        if not self._fresh:
-            with suppress(SolverError):
-                return self._solve()
-            self._load(self.entries)
-        for _ in range(2):  # cold, then again with presolve
-            with suppress(SolverError):
-                return self._solve()
-        self._load(self.entries, 1.0 - float(self.entries.min()))
-        return self._solve()
-
-    def _solve(self) -> _Certified:
-        """One run of the model as it stands, without presolve if it is the first since a load."""
-        self._highs.setOptionValue("presolve", "off" if self._fresh else "on")
-        self._fresh = False
-        self._highs.run()
-        status = self._highs.getModelStatus()
-        if status != self._core.HighsModelStatus.kOptimal:
-            raise SolverError(f"row LP failed: {self._highs.modelStatusToString(status)}")
-        solution = self._highs.getSolution()
-        x, duals = solution.col_value, solution.row_dual
-        v, s = self._v_col, self._sum_row
-        return _certify(self.entries, np.array(x[:v] + x[v + 1 :]), np.array(duals[:s] + duals[s + 1 :]))
+    LP column i holds game row i's payoffs negated in the ``<= 0`` rows and
+    a 1 in the last row, the sum row; the last column, v, holds a 1 in
+    every ``<= 0`` row.  Exact zeros are left out.
+    """
+    m, n = a.shape
+    body = np.column_stack([-a - shift, np.ones(m)])
+    keep = body != 0.0
+    start = np.append(0, np.cumsum(np.append(keep.sum(axis=1), n))).astype(np.int32)
+    index = np.concatenate([np.nonzero(keep)[1], np.arange(n)]).astype(np.int32)
+    value = np.concatenate([body[keep], np.ones(n)])
+    return _LP(
+        np.append(np.zeros(m), -1.0), np.append(np.zeros(m), -np.inf), np.full(m + 1, np.inf),
+        np.append(np.full(n, -np.inf), 1.0), np.append(np.zeros(n), 1.0), start, index, value,
+    )
 
 
 def _overtaken_at(x: np.ndarray, slope: np.ndarray, lead: int, cap: int) -> int:

@@ -46,3 +46,17 @@ def random_duel_case(rng: np.random.Generator):
     x = np.sort(rng.uniform(0.0, 1.0, m))
     y = np.sort(rng.uniform(0.0, 1.0, n))
     return spec, x, y
+
+
+class CountingHighs:
+    """A HiGHS model that passes every call through and records the presolve option at each run."""
+
+    def __init__(self, highs, runs: list):
+        self._highs, self._runs = highs, runs
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self._runs.append(self._highs.getOptionValue("presolve")[1])
+        return self._highs.run()

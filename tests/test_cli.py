@@ -131,8 +131,6 @@ class TestSolveMatrix:
         [
             # HiGHS refuses matrix values of 1e15 (its large_matrix_value) or more; 9e14 solves.
             ([[1e15, -1.0], [-1.0, 1.0]], r"error: HiGHS refused the game's row LP\n"),
-            # No rung of the recovery ladder finishes this game (ROADMAP item 12).
-            ([[9e14], [3.8e-12]], r"error: .+\n"),
         ],
     )
     def test_entries_near_1e15_are_exit_one_with_one_line(self, tmp_path, capsys, entries, error):
@@ -146,6 +144,15 @@ class TestSolveMatrix:
         assert code == 0
         result = json.loads(out)
         assert result["value"] == pytest.approx(4.0)
+        assert result["residual"] <= 1e-9
+
+    def test_tiny_entry_beside_a_9e14_entry_is_solved(self, tmp_path, capsys):
+        # Both runs of this game end at "Unbounded", and the cold run of the
+        # shifted game at "Not Set"; its presolve rerun finishes it.
+        code, out, _ = run(capsys, "solve-matrix", write(tmp_path, "game.json", {"entries": [[9e14], [3.8e-12]]}))
+        assert code == 0
+        result = json.loads(out)
+        assert result["value"] == 9e14
         assert result["residual"] <= 1e-9
 
     def test_overflowing_fictitious_play_is_exit_one_with_one_line(self, tmp_path, capsys):
@@ -247,7 +254,7 @@ class TestSolveDuelCommand:
         path = write(tmp_path, "duel.json", {"m": 2, "n": 6,
                                              "p": {"kind": "identity"},
                                              "q": {"kind": "identity"}})
-        # 2,000,000 points x 7 shot states exceed the 12,000,000 cap.
+        # The LP's nonzeros, up to 80 per point on 2,000,000 points, exceed the 12,000,000 cap.
         code, out, err = run(capsys, "solve-duel", path, "--grid", "2000000")
         assert code == 1
         assert out == ""
@@ -336,6 +343,13 @@ class TestRiskAndTosg:
         assert code == 1
         assert "singular" in err
 
+    def test_minimum_along_a_free_coordinate_is_exit_one_with_one_line(self, tmp_path, capsys):
+        payload = {**TOSG, "objective": {"kind": "quadratic", "q": [-1, -1, -1, 1], "c": [0, 0, 0, 0]}, "dimension": 4}
+        code, out, err = run(capsys, "solve-tosg", write(tmp_path, "tosg.json", payload))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a constrained maximum" in err
+
     def test_overflowing_tosg_is_exit_one_with_one_line(self, tmp_path, capsys):
         payload = {
             **TOSG,
@@ -381,6 +395,14 @@ class TestRunProtocol:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "stage 'decision'" in err
+
+    def test_decision_that_is_not_a_maximum_is_exit_one(self, tmp_path, capsys):
+        objective = {"kind": "quadratic", "q": [-1, -1, -1, 1], "c": [0, 0, 0, 0]}
+        doc = {**GOLDEN_CONFIG, "objective": objective, "dimension": 4}
+        code, out, err = run(capsys, "run-protocol", write(tmp_path, "config.json", doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: stage 'decision' failed: ") and err.count("\n") == 1
+        assert "not a constrained maximum" in err
 
     @pytest.mark.parametrize(
         "changes,stage",
@@ -531,22 +553,26 @@ class TestStartup:
     def test_scipy_loads_only_with_the_first_lp(self, tmp_path):
         # Only an exact solve may load scipy, and then only the top-level
         # package and HiGHS's extension: scipy.optimize's __init__ loads
-        # about 320 modules, several times these commands' work.  The exact
-        # solve runs last, as the control that the probe sees scipy at all.
+        # about 320 modules, several times these commands' work.  The duel's
+        # LP, built with numpy alone, needs no scipy.sparse either.  The
+        # exact solves run last, as the control that the probe sees scipy
+        # at all.
         steps = startup_steps(tmp_path, (
             "eval-tree.json", "risk.json", "simulate-duel.json", "solve-evasion.json",
-            "solve-tosg.json", "solve-matrix-fictitious-play.json", "solve-matrix-exact.json",
+            "solve-tosg.json", "solve-matrix-fictitious-play.json", "solve-duel-2v3.json",
+            "solve-matrix-exact.json",
         ))
-        *lean, (command, _, loaded, _) = steps
+        *lean, (duel, _, loaded, _), (command, _, last, _) = steps
         assert [step for step, _, scipy, _ in lean if scipy] == []
-        assert command == "solve-matrix"
+        assert (duel, command) == ("solve-duel", "solve-matrix")
         core = "scipy.optimize._highspy._core"
         # The extension itself stays out of sys.modules, but registers its own
         # submodules (cb, simplex_constants).
         assert core + ".simplex_constants" in loaded
         others = [name for name in loaded if not name.startswith(core)]
-        assert [name for name in others if name.startswith("scipy.optimize")] == []
+        assert [name for name in others if name.startswith(("scipy.optimize", "scipy.sparse"))] == []
         assert len(others) <= 12, others
+        assert last == loaded
 
     def test_openssl_loads_only_for_the_protocol_hash(self, tmp_path):
         # hashlib loads OpenSSL's libcrypto, about 3 MB of RSS, and only

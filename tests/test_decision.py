@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tosg.decision import (
@@ -13,7 +13,7 @@ from tosg.decision import (
     solve_tosg,
     tosg_value,
 )
-from tosg.errors import ConvergenceError, DegenerateProblemError, InputError
+from tosg.errors import ConvergenceError, DegenerateProblemError, InputError, SolverError
 from tosg.risk import MitigatingRiskParams
 
 coeffs = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -26,6 +26,23 @@ def quadratic_fixture() -> TosgProblem:
         constraints=(CoordinateConstraint(0), CoordinateConstraint(1), CoordinateConstraint(2)),
         targets=(1.0, 2.0, 3.0),
         dimension=3,
+    )
+
+
+@st.composite
+def quadratic_problems(draw):
+    """A separable quadratic objective of dimension 3 to 8 under three coordinate or affine constraints."""
+    n = draw(st.integers(3, 8))
+    vector = arrays(np.float64, n, elements=coeffs)
+    constraint = st.one_of(
+        st.integers(0, n - 1).map(CoordinateConstraint),
+        st.builds(AffineConstraint, vector, coeffs),
+    )
+    return TosgProblem(
+        objective=QuadraticObjective(quad=draw(vector), lin=draw(vector)),
+        constraints=tuple(draw(constraint) for _ in range(3)),
+        targets=draw(st.tuples(coeffs, coeffs, coeffs)),
+        dimension=n,
     )
 
 
@@ -262,6 +279,41 @@ class TestSolveTosg:
             solve_tosg(problem)
         assert err.value.residuals["stationarity_residual"] == pytest.approx(1.0)
         assert err.value.residuals["feasibility_residual"] <= 1e-12
+
+    def test_minimum_along_a_free_coordinate_is_refused(self):
+        # d = (1, 2, 3, 0) is stationary, but d_3 = 10 gives 86 > -14: the
+        # objective is unbounded above along the free coordinate.
+        problem = TosgProblem(
+            objective=QuadraticObjective(quad=[-1.0, -1.0, -1.0, 1.0], lin=[0.0] * 4),
+            constraints=(CoordinateConstraint(0), CoordinateConstraint(1), CoordinateConstraint(2)),
+            targets=(1.0, 2.0, 3.0),
+            dimension=4,
+        )
+        with pytest.raises(SolverError, match="not a constrained maximum"):
+            solve_tosg(problem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quadratic_problems(), arrays(np.float64, 8, elements=st.floats(-1.0, 1.0)), st.floats(0.1, 10.0))
+    # Three copies of one constraint, met at the origin: Newton takes no step,
+    # and the Jacobian's null space has dimension 2, not n - 3 = 0.
+    @example(
+        TosgProblem(QuadraticObjective([1.0] * 3, [0.0] * 3), (CoordinateConstraint(0),) * 3, (0.0, 0.0, 0.0), 3),
+        np.ones(8),
+        1.0,
+    )
+    def test_returned_point_is_a_constrained_maximum(self, problem, direction, t):
+        # Along any direction z that keeps every constraint at its target,
+        # the objective at d* + t z is at most its value at d*.
+        try:
+            solution = solve_tosg(problem)
+        except (ConvergenceError, DegenerateProblemError, SolverError):
+            return
+        d = solution.d_star
+        jac = np.vstack([c.gradient(d) for c in problem.constraints])
+        z = direction[: problem.dimension]
+        z = z - jac.T @ np.linalg.lstsq(jac.T, z, rcond=None)[0]
+        before = problem.objective.value(d)
+        assert problem.objective.value(d + t * z) <= before + 1e-8 * (1.0 + abs(before))
 
     def test_duplicate_constraints_are_degenerate(self):
         problem = TosgProblem(

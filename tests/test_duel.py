@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import CountingHighs
 import tosg.duel
 from tosg.duel import (
     AccuracyFunction,
     DuelSpec,
     TimeVector,
     _SIM_CHUNK,
-    _SubsetProfiles,
+    _FlowGraph,
     _best_response,
+    _duel_lp,
     _hits,
     _profiles,
     _strategy_subsets,
@@ -24,7 +26,7 @@ from tosg.duel import (
     solve_duel,
 )
 from tosg.errors import InputError, ResourceLimitError, SolverError
-from tosg.matrix_game import PayoffMatrix, _exact_solution, _GrowingGame, solve_exact
+from tosg.matrix_game import _highs_core, _load_lp, _solve_lp, solve_exact
 
 IDENT = AccuracyFunction.identity()
 ONE_SHOT = DuelSpec(1, 1, IDENT, IDENT)
@@ -104,27 +106,18 @@ def sampled_duels(draw):
     return spec, sorted(x), sorted(y)
 
 
-def best_response_reference(
-    opp_alive: np.ndarray, opp_fire: np.ndarray, hit: np.ndarray, shots: int
-) -> tuple[float, tuple[int, ...]]:
+def best_response_reference(opp_alive: np.ndarray, opp_fire: np.ndarray, hit: np.ndarray, shots: int) -> float:
     """The reference for _best_response: the recurrence vectorised over shots, one grid step at a time."""
     grid_n = hit.shape[0]
     value = np.full(shots + 1, -np.inf)
     value[0] = 0.0
-    fires = np.zeros((grid_n, shots + 1), dtype=bool)
     for g in range(grid_n - 1, -1, -1):
         top = min(shots, grid_n - g)
         hold = value[: top + 1] - opp_fire[g]
         fire = hit[g] * opp_alive[g] - opp_fire[g] + (1.0 - hit[g]) * value[:top]
-        fires[g, 1 : top + 1] = fire > hold[1:]
         value[0] = hold[0]
-        value[1 : top + 1] = np.maximum(hold[1:], fire)
-    subset, left = [], shots
-    for g in range(grid_n):
-        if left and fires[g, left]:
-            subset.append(g)
-            left -= 1
-    return float(value[shots]), tuple(subset)
+        value[1 : top + 1] = np.where(fire > hold[1:], fire, hold[1:])
+    return float(value[shots])
 
 
 # Tenths and signed zeros make fire and hold tie; 1.0 is a sure hit.
@@ -356,15 +349,10 @@ class TestBestResponse:
         row_alive, row_fire = _profiles(rows, p_hit, grid_n)
         col_alive, col_fire = _profiles(cols, q_hit, grid_n)
 
-        gain, col_best = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
-        against_sigma = sigma @ game
-        assert -gain == pytest.approx(against_sigma.min(), abs=1e-12)
-        assert against_sigma[[tuple(c) for c in cols].index(col_best)] == pytest.approx(-gain, abs=1e-12)
-
-        upper, row_best = _best_response(tau @ col_alive, tau @ col_fire, p_hit, spec.m)
-        against_tau = game @ tau
-        assert upper == pytest.approx(against_tau.max(), abs=1e-12)
-        assert against_tau[[tuple(r) for r in rows].index(row_best)] == pytest.approx(upper, abs=1e-12)
+        gain = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
+        assert -gain == pytest.approx((sigma @ game).min(), abs=1e-12)
+        upper = _best_response(tau @ col_alive, tau @ col_fire, p_hit, spec.m)
+        assert upper == pytest.approx((game @ tau).max(), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(small_duels, st.integers(0, 2**32 - 1))
@@ -393,13 +381,13 @@ class TestBestResponse:
     @example((np.array([0.5, 0.5]), np.array([0.0, -0.0]), np.array([1.0, 1.0]), 2))
     def test_matches_the_vectorised_recurrence(self, case):
         expected = best_response_reference(*case)
-        gain, subset = _best_response(*case)
-        assert (gain, subset) == expected
-        assert math.copysign(1.0, gain) == math.copysign(1.0, expected[0])
+        gain = _best_response(*case)
+        assert gain == expected
+        assert math.copysign(1.0, gain) == math.copysign(1.0, expected)
 
-    def test_table_is_one_byte_per_cell(self):
-        # The profiles are read in place and each (g, k) choice takes one
-        # byte: no boxed float per grid point, no float table.
+    def test_profiles_are_read_in_place(self):
+        # The profiles are read through memoryviews, and nothing is kept
+        # per grid point: no copy, no boxed float, no table of choices.
         grid_n, shots = 50_000, 6
         hit = np.linspace(0.0, 1.0, grid_n)
         alive = 1.0 - 0.5 * hit
@@ -410,7 +398,7 @@ class TestBestResponse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * grid_n * (shots + 1)
+        assert peak <= 4096
 
 
 @st.composite
@@ -422,24 +410,87 @@ def subset_profile_cases(draw):
     return hit, draw(st.lists(subset, min_size=1, max_size=12))
 
 
-class TestSubsetProfiles:
+def path_flow(graph: _FlowGraph, subset: tuple[int, ...]) -> np.ndarray:
+    """The flow of a pure subset on its graph: on each edge of its path, the chance every earlier shot missed."""
+    flow = np.zeros(len(graph.layer))
+    node, survive = 0, 1.0
+    for e in range(len(graph.layer)):
+        # The path leaves its node along the edge that fires where the subset does.
+        if graph.tail[e] == node and graph.fires[e] == (graph.layer[e] in subset):
+            flow[e], node = survive, graph.head[e]
+            survive *= graph.gain[e]
+    return flow
+
+
+def flow_profile(graph: _FlowGraph, flow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (alive, fire) profile of an edge flow, the linear map _duel_lp's coefficients encode."""
+    grid_n, fires = graph.hit.shape[0], graph.fires
+    return np.bincount(graph.layer, flow, grid_n), graph.hit * np.bincount(graph.layer[fires], flow[fires], grid_n)
+
+
+def lp_flows(spec: DuelSpec, grid_n: int) -> tuple[_FlowGraph, np.ndarray, _FlowGraph, np.ndarray]:
+    """Both players' graphs and the flows of solve_duel's LP: the primal for the row, the negated edge-row duals for the column."""
+    _, p_hit, q_hit = _hits(spec, grid_n)
+    rows, cols = _FlowGraph(p_hit, spec.m), _FlowGraph(q_hit, spec.n)
+    x, duals = _solve_lp(_load_lp(_duel_lp(rows, cols), "sequence-form LP"), lambda *sol: sol, "sequence-form LP")
+    return rows, np.maximum(x[: len(rows.layer)], 0.0), cols, np.maximum(-duals[: len(cols.layer)], 0.0)
+
+
+class TestFlowGraph:
     @settings(max_examples=200, deadline=None)
     @given(subset_profile_cases())
     @example((np.array([1.0, 0.0, -0.0, 1.0]), [(0, 3), (1, 2), (0, 1), (2, 3), (0, 2)]))
-    def test_rows_equal_profiles_bit_for_bit(self, case):
+    def test_pure_path_flow_gives_profiles_rows_bit_for_bit(self, case):
         hit, subsets = case
-        grid_n = hit.shape[0]
-        profiles = _SubsetProfiles(subsets[:1], hit)
-        for subset in subsets[1:]:
-            alive, fire = profiles.add(subset)
-            expected_alive, expected_fire = _profiles(np.array([subset]), hit, grid_n)
-            assert alive.tobytes() == expected_alive[0].tobytes()
-            assert fire.tobytes() == expected_fire[0].tobytes()
-        # The grown stacks hold every row, the seed's included.
+        grid_n, shots = hit.shape[0], len(subsets[0])
+        graph = _FlowGraph(hit, shots)
         expected_alive, expected_fire = _profiles(np.array(subsets), hit, grid_n)
-        assert profiles.subsets == subsets
-        assert profiles.alive.tobytes() == expected_alive.tobytes()
-        assert profiles.fire.tobytes() == expected_fire.tobytes()
+        for subset, alive_row, fire_row in zip(subsets, expected_alive, expected_fire):
+            flow = path_flow(graph, subset)
+            alive, fire = flow_profile(graph, flow)
+            assert alive.tobytes() == alive_row.tobytes()
+            assert fire.tobytes() == fire_row.tobytes()
+            # The path's behavioural strategy gives the same rows.  Past a
+            # sure hit the path carries no flow and fixes no choice, so the
+            # marginal is the subset's only where the flow reaches every layer.
+            alive, fire, marginal = graph.behaviour(flow)
+            assert alive.tobytes() == alive_row.tobytes()
+            assert fire.tobytes() == fire_row.tobytes()
+            if np.count_nonzero(flow) == grid_n:
+                assert np.array_equal(marginal, np.isin(np.arange(grid_n), subset) / shots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_duels)
+    @example((DuelSpec(2, 6, IDENT, IDENT), 21))
+    @example((DuelSpec(3, 2, SURE_EARLY, AccuracyFunction.power(2.0)), 9))
+    # The row flow misses conservation by 1.35e-10, within HiGHS's
+    # feasibility tolerance: its profile is 1.07e-10 off the strategy's.
+    @example((DuelSpec(1, 2, AccuracyFunction.table([[0, 0], [0.5, 1e-6], [1, 1]]), SURE_EARLY), 9))
+    def test_behavioural_profile_equals_the_lp_flows_profile(self, case):
+        # Replaying the behavioural strategy moves each layer's flow by at
+        # most the conservation misses before it (gains are at most 1), so
+        # the two profiles differ by at most the flow's total miss.
+        spec, grid_n = case
+        rows, z, cols, y = lp_flows(spec, grid_n)
+        for graph, flow in ((rows, z), (cols, y)):
+            alive, fire, marginal = graph.behaviour(flow)
+            flow_alive, flow_fire = flow_profile(graph, flow)
+            supply = np.bincount(graph.head, flow * graph.gain, graph.nodes + 1)[:-1]
+            supply[0] += 1.0
+            miss = np.abs(np.bincount(graph.tail, flow, graph.nodes) - supply).sum()
+            assert np.abs(alive - flow_alive).max() <= miss + 1e-12
+            assert np.abs(fire - flow_fire).max() <= miss + 1e-12
+            assert abs(marginal.sum() - 1.0) <= 1e-12
+
+    def test_lp_size(self):
+        # 2-vs-6 at grid 21: 260 rows (a row per column edge and per row
+        # node) and 208 columns (a column per row edge and per column node).
+        spec = DuelSpec(2, 6, IDENT, IDENT)
+        _, p_hit, q_hit = _hits(spec, 21)
+        lp = _duel_lp(_FlowGraph(p_hit, 2), _FlowGraph(q_hit, 6))
+        assert (len(lp.row_lower), len(lp.cost), len(lp.index)) == (260, 208, 1078)
+        # solve_duel's guard counts at most 21 * (3mn + 5(m + n) + 4) = 1,680.
+        assert len(lp.index) <= 21 * 80
 
 
 class TestSolveDuel:
@@ -504,29 +555,20 @@ class TestSolveDuel:
         assert solution.support_p2 == pytest.approx((0.1, 1.0), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "grid_n,rounds,value",
+        "grid_n,value",
         [
-            (21, 29, -0.4729288409874951),
-            (41, 66, -0.49231379157902144),
-            (81, 152, -0.4936401803344723),
-            (101, 223, -0.49367023201907834),
+            (21, -0.4729288409874949),
+            (41, -0.4923137915790523),
+            (81, -0.49364018033447743),
+            (101, -0.4936702320190787),
         ],
     )
-    def test_two_versus_six_double_oracle_path(self, monkeypatch, grid_n, rounds, value):
-        # The round count and the value's bits pin the path the double
-        # oracle takes: a best response that breaks a tie the other way adds
-        # different subsets, which a 1e-9 value check would not show.
-        solve = _GrowingGame.solve
-        calls = []
-
-        def counted(model):
-            calls.append(model.entries.shape)
-            return solve(model)
-
-        monkeypatch.setattr(_GrowingGame, "solve", counted)
+    def test_two_versus_six_value_bits(self, grid_n, value):
+        # The value's bits pin the LP's solution and the certifying best
+        # responses, which a 1e-9 value check would not show.
         solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), grid_n)
-        assert len(calls) == rounds
         assert solution.value == value
+        assert solution.residual <= 1e-12
 
     def test_two_versus_six_past_the_pair_cap(self):
         spec = DuelSpec(2, 6, IDENT, IDENT)
@@ -538,48 +580,44 @@ class TestSolveDuel:
     @pytest.mark.parametrize(
         "spec,grid_n",
         [
-            (DuelSpec(2, 6, IDENT, IDENT), 2_000_000),  # best-response states
-            (ONE_SHOT, 10**12),  # best-response states
-            (ONE_SHOT, 1_000_000),  # 10^6 x 10^6 restricted game
-            (DuelSpec(1, 6, IDENT, IDENT), 1_000_000),  # one-shot profiles
+            (DuelSpec(2, 6, IDENT, IDENT), 2_000_000),
+            (ONE_SHOT, 10**12),
+            (ONE_SHOT, 1_000_000),
+            (DuelSpec(1, 6, IDENT, IDENT), 1_000_000),
         ],
     )
     def test_oversized_grid_refused_before_allocation(self, spec, grid_n):
         assert refusal_peak(solve_duel, spec, grid_n) < 1 << 20
 
-    def test_stalled_double_oracle_raises(self, monkeypatch):
-        # Best responses already in the restricted game cannot close a gap of 2.
-        monkeypatch.setattr(tosg.duel, "_best_response", lambda *args: (1.0, (7, 8)))
-        with pytest.raises(SolverError):
-            solve_duel(DuelSpec(2, 2, IDENT, IDENT), 9)
+    def test_failed_runs_climb_the_ladder_and_raise(self, monkeypatch):
+        # Every run ends short of optimal: the cold run, then the rerun with
+        # presolve, and then SolverError.
+        runs = []
+        load = tosg.duel._load_lp
 
-    def test_failed_warm_solve_reloads_the_model(self, monkeypatch):
-        # Fail every warm solve, the first after each growth step, so that
-        # each round's restricted game is solved cold on a reloaded model.
-        cold_solve = _GrowingGame._solve
-        failed, reloaded = [], []
+        class FailingHighs(CountingHighs):
+            def getModelStatus(self):
+                return _highs_core().HighsModelStatus.kNotset
 
-        def warm_solve_fails(model):
-            # Grown since the last load, whose game shape _load's v column and sum row record.
-            if model.entries.shape != (model._v_col, model._sum_row):
-                failed.append(model.entries.shape)
-                raise SolverError("warm solve not certified")
-            certified = cold_solve(model)
-            reloaded.append((model.entries, certified))
-            return certified
+        monkeypatch.setattr(tosg.duel, "_load_lp", lambda *args: FailingHighs(load(*args), runs))
+        with pytest.raises(SolverError, match="sequence-form LP failed: Not Set"):
+            solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
+        assert runs == ["off", "on"]
 
-        monkeypatch.setattr(_GrowingGame, "_solve", warm_solve_fails)
+    def test_failed_certificate_is_solved_again_with_presolve(self, monkeypatch):
+        # A cold run whose strategies fall short of SADDLE_TOL moves down to
+        # the presolve run, which is certified afresh.
+        runs = []
+        load = tosg.duel._load_lp
+        best_response = tosg.duel._best_response
+
+        def short_first(*args):
+            return best_response(*args) + (1.0 if len(runs) == 1 else 0.0)
+
+        monkeypatch.setattr(tosg.duel, "_load_lp", lambda *args: CountingHighs(load(*args), runs))
+        monkeypatch.setattr(tosg.duel, "_best_response", short_first)
         solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
-        monkeypatch.undo()
-        assert failed
-        assert len(reloaded) == len(failed) + 1  # the seed game's first solve is cold too
-        for entries, certified in reloaded:
-            sigma, tau, _, _ = certified
-            restricted = _exact_solution(*certified)
-            exact = solve_exact(PayoffMatrix(entries))
-            assert (restricted.value, restricted.residual) == (exact.value, exact.residual)
-            assert np.array_equal(sigma, exact.row_strategy.weights)
-            assert np.array_equal(tau, exact.col_strategy.weights)
+        assert runs == ["off", "on"]
         assert abs(solution.value - -0.47292884098749355) <= 1e-9
         assert solution.residual <= 1e-9
 

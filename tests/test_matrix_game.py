@@ -9,16 +9,17 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csc_array
 
-from tosg import matrix_game
-from tosg.errors import InputError
+from conftest import CountingHighs
+from tosg import duel, matrix_game, timing
+from tosg.errors import InputError, SolverError
 from tosg.matrix_game import (
     SADDLE_TOL,
     GameSolution,
     MixedStrategy,
     PayoffMatrix,
-    _GrowingGame,
-    _exact_solution,
     _highs_core,
+    _load_lp,
+    _row_lp,
     solve_exact,
     solve_fictitious_play,
 )
@@ -68,35 +69,6 @@ entry = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def grown_games(draw):
-    """A seed game and the ("row" | "col", payoffs) steps that grow it.
-
-    A skew draw appends each new row together with its mirrored column, so
-    the game is square and skew-symmetric again after every second step.
-    """
-    steps = draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        size = draw(st.integers(1, 6))
-        upper = np.triu(draw(arrays(np.float64, (size, size), elements=entry)), k=1)
-        growth = []
-        for size in range(size, size + steps):
-            payoffs = draw(arrays(np.float64, size, elements=entry))
-            growth += [("row", payoffs), ("col", -np.append(payoffs, 0.0))]
-        return upper - upper.T, growth
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    seed = draw(arrays(np.float64, (m, n), elements=entry))
-    growth = []
-    for _ in range(steps):
-        if draw(st.booleans()):
-            growth.append(("row", draw(arrays(np.float64, n, elements=entry))))
-            m += 1
-        else:
-            growth.append(("col", draw(arrays(np.float64, m, elements=entry))))
-            n += 1
-    return seed, growth
-
-
-@st.composite
 def layout_games(draw):
     """A game of 1 to 8 rows and columns with many 0.0 and -0.0 entries and some all-zero rows and columns."""
     m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
@@ -107,18 +79,33 @@ def layout_games(draw):
     return a
 
 
-def grown_skew(rows) -> tuple[np.ndarray, list]:
-    """A grown_games case: the 4 x 4 skew game with +1 above the diagonal,
-    grown by each row and then its negated column, which ends in a 0."""
+# Entries of about 1e-12 to 1e-9 beside O(1) ones, which can stop HiGHS's
+# cold run short of the saddle contract (ROADMAP item 12).
+tiny_and_unit_strategy = st.integers(1, 8).flatmap(
+    lambda m: st.integers(1, 8).flatmap(
+        lambda n: arrays(
+            np.float64,
+            (m, n),
+            elements=st.one_of(
+                st.floats(1e-12, 1e-9), st.floats(-1e-9, -1e-12), st.integers(-3, 3).map(float), entry
+            ),
+        )
+    )
+)
+
+
+def bordered_skew(rows) -> np.ndarray:
+    """The 4 x 4 skew game with +1 above the diagonal, bordered by each row
+    in turn and by its negated column, which ends in a 0."""
     upper = np.triu(np.ones((4, 4)), k=1)
-    growth = []
+    game = upper - upper.T
     for row in rows:
         row = np.array(row, dtype=float)
-        growth += [("row", row), ("col", -np.append(row, 0.0))]
-    return upper - upper.T, growth
+        game = np.column_stack([np.vstack([game, row]), -np.append(row, 0.0)])
+    return game
 
 
-S = 2.0**-14  # an entry of the two grown_skew games in TestGrowingGame
+S = 2.0**-14  # an entry of the two bordered_skew games in TestSolveExact
 
 
 def saddle_violation(game: PayoffMatrix, solution: GameSolution) -> float:
@@ -184,7 +171,7 @@ class TestSolveExact:
         assert saddle_violation(game, solution) <= 1e-9
 
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(matrix_strategy, degenerate_strategy))
+    @given(st.one_of(matrix_strategy, degenerate_strategy, tiny_and_unit_strategy))
     # A tiny entry beside O(1) ones: HiGHS ends the cold solve at "Not Set".
     @example(np.array([[4.0], [3.8387225e-12]]))
     @example(np.array([[1.0], [1.5e-12]]))
@@ -210,6 +197,15 @@ class TestSolveExact:
 
     @settings(max_examples=50, deadline=None)
     @given(skew_strategy)
+    # The cold run and the presolve rerun fall short of SADDLE_TOL (a gap of
+    # 1.8e-9); the shifted game certifies it.
+    @example(skew_game(56, 2.826171875, 178, False))
+    # Entries of 1e-10 beside O(1) ones.  The cold run and the presolve
+    # rerun of the 8 x 8 game end at "Unknown", and the shifted game
+    # solves; the cold run of the 9 x 9 game ends at "Unknown", and the
+    # presolve rerun solves it.
+    @example(bordered_skew([[4, 0, 0, 0], [1e-10] * 5, [0] + [1] * 5, [6, 0, S, 6, 6, 6, 6]]))
+    @example(bordered_skew([[9, 0, 0, 0], [0, 2, 0, 2, 2], [1e-10] * 6, [0] + [1] * 6, [6, 0, S, 6, 6, 6, 6, 6]]))
     def test_skew_symmetric_games_share_one_strategy(self, entries):
         solution = solve_exact(PayoffMatrix(entries))
         assert np.array_equal(solution.row_strategy.weights, solution.col_strategy.weights)
@@ -238,38 +234,30 @@ class TestSolveExact:
         assert saddle_violation(transformed, carried) <= a * 1e-8 + 1e-8
 
 
-class CountingHighs:
-    """A HiGHS model that passes every call through and records the presolve option at each run."""
-
-    def __init__(self, highs, runs: list):
-        self._highs, self._runs = highs, runs
-
-    def __getattr__(self, name):
-        return getattr(self._highs, name)
-
-    def run(self):
-        self._runs.append(self._highs.getOptionValue("presolve")[1])
-        return self._highs.run()
-
-
 def highs_calls(path: str) -> set[str]:
-    """The names of the methods called on ``self._highs`` in a source file."""
+    """The names of the methods called on ``highs`` in a source file."""
     return {
         node.func.attr
         for node in ast.walk(ast.parse(Path(path).read_text()))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and ast.unparse(node.func.value) == "self._highs"
+        and ast.unparse(node.func.value) == "highs"
     }
+
+
+def counted_loads(monkeypatch, runs: list) -> None:
+    """Make every model that solve_exact loads record its runs' presolve option in ``runs``."""
+    load = matrix_game._load_lp
+    monkeypatch.setattr(matrix_game, "_load_lp", lambda *args: CountingHighs(load(*args), runs))
 
 
 class TestGrowingGame:
     def test_private_highs_api_is_present(self):
-        # _GrowingGame drives scipy's private HiGHS binding, which may change
-        # between scipy minor releases; pyproject pins the series this matches.
-        # The binding is loaded on the first solve, from the extension file
-        # where _highs_core expects it, so a renamed name or a moved file
-        # would otherwise show only there.
+        # _load_lp and _solve_lp drive scipy's private HiGHS binding, which
+        # may change between scipy minor releases; pyproject pins the series
+        # this matches.  The binding is loaded on the first solve, from the
+        # extension file where _highs_core expects it, so a renamed name or a
+        # moved file would otherwise show only there.
         import scipy
 
         _core = _highs_core()
@@ -277,8 +265,7 @@ class TestGrowingGame:
         assert Path(_core.__file__).parent == Path(scipy.__path__[0], "optimize", "_highspy")
 
         methods = (
-            "setOptionValue", "passModel", "addCol", "addRow",
-            "run", "getModelStatus", "modelStatusToString", "getSolution",
+            "setOptionValue", "passModel", "run", "getModelStatus", "modelStatusToString", "getSolution",
         )
         for method in methods:
             assert callable(getattr(_core._Highs, method, None)), method
@@ -288,9 +275,8 @@ class TestGrowingGame:
         )
         for name in names:
             assert operator.attrgetter(name)(_core) is not None, name
-        # _load passes the arrays through passModel's array overload.
-        model = _GrowingGame(np.array([[2.5]]))
-        highs = model._highs
+        # _load_lp passes the arrays through passModel's array overload.
+        highs = _load_lp(_row_lp(np.array([[2.5]])), "row LP")
         lp = highs.getLp()
         assert (lp.num_col_, lp.num_row_) == (2, 2)
         assert list(lp.a_matrix_.value_) == [-2.5, 1.0, 1.0]
@@ -299,76 +285,39 @@ class TestGrowingGame:
         assert highs.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("dual_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("small_matrix_value")[1] == 1e-12
-        # The first run after a load is cold and runs without presolve, a
-        # warm one has it; a model grown before its first run still runs cold.
-        runs = []
-        model._highs = CountingHighs(highs, runs)
-        assert _exact_solution(*model.solve()).value == pytest.approx(2.5)
-        model.add_row(np.array([1.0]))
-        model.solve()
-        model._load(model.entries)
-        model.add_col(np.array([0.0, 3.0]))
-        assert _exact_solution(*model.solve()).value == pytest.approx(5.0 / 3.0)
-        model.add_row(np.array([-1.0, 1.0]))
-        assert _exact_solution(*model.solve()).value == pytest.approx(5.0 / 3.0)
-        assert runs == ["off", "on", "off", "on"]
-        # The pinned methods are exactly those _GrowingGame calls.
-        assert highs_calls(inspect.getsourcefile(_GrowingGame)) == set(methods)
+        # The pinned methods are exactly those the driver calls, and only
+        # the driver calls HiGHS.
+        assert highs_calls(inspect.getsourcefile(matrix_game)) == set(methods)
+        for module in (duel, timing):
+            assert highs_calls(inspect.getsourcefile(module)) == set()
 
     def test_failed_cold_solve_is_not_repeated(self, monkeypatch):
-        # The cold solve of this game ends at "Not Set" and its rerun with
-        # presolve on solves it.  solve() on a fresh model, solve_exact's
-        # included, runs those two solves and does not reload the model to
-        # repeat the failed one first; a grown model's warm solve is one run.
+        # The cold run of this game ends at "Not Set" and the rerun with
+        # presolve on solves it; the model is loaded once, and a game that
+        # solves at once runs once, cold.
         runs = []
-        init = _GrowingGame.__init__
-
-        def counted_init(model, entries):
-            init(model, entries)
-            model._highs = CountingHighs(model._highs, runs)
-
-        monkeypatch.setattr(_GrowingGame, "__init__", counted_init)
-        entries = np.array([[4.0], [3.8387225e-12]])
-        exact = solve_exact(PayoffMatrix(entries))
+        counted_loads(monkeypatch, runs)
+        solution = solve_exact(PayoffMatrix([[4.0], [3.8387225e-12]]))
         assert runs == ["off", "on"]
+        assert solution.value == pytest.approx(4.0)
         runs.clear()
-        model = _GrowingGame(entries)
-        solution = _exact_solution(*model.solve())
-        assert runs == ["off", "on"]
-        assert (solution.value, solution.residual) == (exact.value, exact.residual)
-        assert np.array_equal(solution.row_strategy.weights, exact.row_strategy.weights)
-        assert np.array_equal(solution.col_strategy.weights, exact.col_strategy.weights)
-        runs.clear()
-        model.add_col(np.array([0.0, 1.0]))
-        assert _exact_solution(*model.solve()).value == pytest.approx(0.8, abs=1e-9)
-        assert runs == ["on"]
+        assert solve_exact(PayoffMatrix([[2.5]])).value == pytest.approx(2.5)
+        assert runs == ["off"]
 
-    def test_growth_after_the_shifted_game_stays_shifted(self):
-        # The cold run and the presolve rerun of this game both end at
-        # "Unknown", so the model now holds the shifted game A + 1 - min A.  Rows and columns
-        # added later must be shifted alike; a solve certified on A would
-        # not show an unshifted LP entry, so the LP is read back.
-        entries = np.array([
-            [-3.2006493338333764, 6.926400481446148, 7.299515341032809],
-            [-8.136711756744308, 6.287977768093665, 7.235303245312842],
-            [1.3780731049756554, 9.074626594064213, -5.177733402704117],
-            [8.621922042976385e-10, -1.2305277100815805e-12, 7.350432086024817],
-        ])
-        model = _GrowingGame(entries)
-        model.solve()
-        shift = 1.0 - entries.min()
-        assert model._shift == shift
-        model.add_row(np.array([1.0, -2.0, 3.0]))
-        model.add_col(np.array([0.5, -1.5, 2.5, 4.0, -3.0]))
-        lp = model._highs.getLp()
-        a = lp.a_matrix_
-        lp_matrix = csc_array((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_)).toarray()
-        # Game rows 0-3 are LP columns 0-3 and game row 4 is LP column 5,
-        # after the v column; game columns 0-2 and 3 are LP rows 0-2 and 4.
-        game_part = lp_matrix[np.ix_([0, 1, 2, 4], [0, 1, 2, 3, 5])]
-        assert np.array_equal(game_part, (-model.entries - shift).T)
-        solution = _exact_solution(*model.solve())
-        assert abs(solution.value - solve_exact(PayoffMatrix(model.entries)).value) <= 1e-9
+    def test_failed_runs_climb_the_ladder_and_raise(self, monkeypatch):
+        # Every run ends short of optimal: the cold run and the presolve
+        # rerun of the game, then of the shifted game, and then SolverError.
+        runs = []
+        load = matrix_game._load_lp
+
+        class FailingHighs(CountingHighs):
+            def getModelStatus(self):
+                return _highs_core().HighsModelStatus.kNotset
+
+        monkeypatch.setattr(matrix_game, "_load_lp", lambda *args: FailingHighs(load(*args), runs))
+        with pytest.raises(SolverError, match="row LP failed: Not Set"):
+            solve_exact(PayoffMatrix(MATCHING_PENNIES))
+        assert runs == ["off", "on", "off", "on"]
 
     @settings(max_examples=60, deadline=None)
     @given(layout_games())
@@ -387,7 +336,7 @@ class TestGrowingGame:
         # either layout: two of 1.4e-17 in the 201-point kernel.
         reference.data[np.abs(reference.data) <= 1e-12] = 0.0
         reference.eliminate_zeros()
-        lp = _GrowingGame(a)._highs.getLp()
+        lp = _load_lp(_row_lp(a), "row LP").getLp()
         assert (lp.num_col_, lp.num_row_) == (m + 1, n + 1)
         assert np.array_equal(lp.a_matrix_.start_, reference.indptr)
         assert np.array_equal(lp.a_matrix_.index_, reference.indices)
@@ -397,35 +346,6 @@ class TestGrowingGame:
         assert np.array_equal(lp.col_upper_, np.full(m + 1, np.inf))
         assert np.array_equal(lp.row_lower_, np.concatenate([np.full(n, -np.inf), [1.0]]))
         assert np.array_equal(lp.row_upper_, np.concatenate([np.zeros(n), [1.0]]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(grown_games())
-    # Entries of 1e-10 beside O(1) ones.  At 8 x 8 the cold solve ends at
-    # "Unknown", and so does its rerun with presolve on; the shifted game solves.
-    @example(grown_skew([[4, 0, 0, 0], [1e-10] * 5, [0] + [1] * 5, [6, 0, S, 6, 6, 6, 6]]))
-    # At 9 x 8 the cold solve falls short of SADDLE_TOL (5.5e-9), and at
-    # 9 x 9 it ends at "Unknown".
-    @example(grown_skew([[9, 0, 0, 0], [0, 2, 0, 2, 2], [1e-10] * 6, [0] + [1] * 6, [6, 0, S, 6, 6, 6, 6, 6]]))
-    def test_matches_solve_exact_at_every_step(self, case):
-        entries, growth = case
-        model = _GrowingGame(entries)
-        for step, (kind, payoffs) in enumerate([(None, None)] + growth):
-            if kind == "row":
-                model.add_row(payoffs)
-                entries = np.vstack([entries, payoffs])
-            elif kind == "col":
-                model.add_col(payoffs)
-                entries = np.column_stack([entries, payoffs])
-            game = PayoffMatrix(entries)
-            solution = _exact_solution(*model.solve())
-            assert solution.residual <= SADDLE_TOL
-            assert saddle_violation(game, solution) <= SADDLE_TOL
-            exact = solve_exact(game)
-            assert abs(solution.value - exact.value) <= 1e-9
-            if step == 0:
-                assert (solution.value, solution.residual) == (exact.value, exact.residual)
-                assert np.array_equal(solution.row_strategy.weights, exact.row_strategy.weights)
-                assert np.array_equal(solution.col_strategy.weights, exact.col_strategy.weights)
 
 
 def fictitious_play_steps(game: PayoffMatrix, max_iterations: int) -> GameSolution:
