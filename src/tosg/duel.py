@@ -339,45 +339,6 @@ def discretize_duel(spec: DuelSpec, grid_n: int) -> PayoffMatrix:
     return PayoffMatrix(row_fire @ col_alive.T - row_alive @ col_fire.T)
 
 
-def _best_response(opp_alive: np.ndarray, opp_fire: np.ndarray, hit: np.ndarray, shots: int) -> float:
-    """The best gain of a sorted shot subset against an opponent's mixed profile.
-
-    A player's gain against the opponent's expected alive profile A and fire
-    profile F is sum_g alive[g] * (hit[g] * fires[g] * A[g] - F[g]), so a
-    backward pass over the grid with state "shots left" finds the maximum
-    over every subset:
-
-        W(g, k) = max(W(g+1, k) - F[g],
-                      hit[g] A[g] - F[g] + (1 - hit[g]) W(g+1, k-1))
-
-    with W(G, 0) = 0 and -inf on states with more shots than grid points
-    left.  The firing branch reads only feasible, finite states, so a sure
-    hit (hit[g] = 1) never multiplies 0 by inf.
-
-    The pass is a scalar loop over zero-copy memoryviews of the three
-    profiles: numpy calls on arrays of shots + 1 floats cost more than the
-    arithmetic.  Each grid step updates W in place for k from
-    min(shots, grid_n - g) down to 1, then sets W(g, 0) = W(g+1, 0) - F[g].
-    The float operations and their order are fixed, because solve_duel's
-    reported value is built from the gain: hold = W(g+1, k) - F[g],
-    fire = (hit[g] A[g] - F[g]) + (1 - hit[g]) W(g+1, k-1), and fire wins
-    only if fire > hold, so ties hold.
-    """
-    grid_n = hit.shape[0]
-    alive, fired, hits = (
-        memoryview(np.ascontiguousarray(v, dtype=float)) for v in (opp_alive, opp_fire, hit)
-    )
-    value = [0.0] + [-math.inf] * shots
-    for g in range(grid_n - 1, -1, -1):
-        h, f = hits[g], fired[g]
-        gain, miss = h * alive[g] - f, 1.0 - h
-        for k in range(min(shots, grid_n - g), 0, -1):
-            hold, fire = value[k] - f, gain + miss * value[k - 1]
-            value[k] = fire if fire > hold else hold
-        value[0] -= f
-    return value[shots]
-
-
 def _support_interval(grid: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     above = grid[weights > DUST_TOL]
     lo = float(above.min()) if above.size else 1.0
@@ -393,6 +354,15 @@ class _FlowGraph:
     k)) before fire (gain 1 - hit[g], to (g+1, k-1)).  A subset's path
     carries the chance that every earlier shot missed, so alive[g] is the
     layer-g flow and fire[g] hit[g] times its fire-edge flow.
+
+    Against an opponent's expected alive profile A and fire profile F, a
+    path's gain is sum_g alive[g] * (hit[g] * fires[g] * A[g] - F[g]), so
+    the best gain over every path is W at the source of
+
+        W(g, k) = max(W(g+1, k) - F[g],
+                      hit[g] A[g] - F[g] + (1 - hit[g]) W(g+1, k-1))
+
+    with W = 0 at the sink, each term read only where its edge exists.
     """
 
     def __init__(self, hit: np.ndarray, shots: int):
@@ -412,14 +382,13 @@ class _FlowGraph:
         Each edge takes its share of its node's outflow (a node without
         outflow sends all along its first edge), played forward from the
         source: a real strategy even where an LP's flow conserves only to
-        tolerance.  A
-        player in the duel has learned nothing, so the marginal is the
-        fire-edge mass with every gain 1, per shot.
+        tolerance.  A player in the duel has learned nothing, so the
+        marginal is the fire-edge mass with every gain 1, per shot.
         """
         out = np.bincount(self.tail, flow, self.nodes)[self.tail]
         first = np.append(True, self.tail[1:] != self.tail[:-1])
         share = np.divide(flow, out, out=first.astype(float), where=out > 0.0)
-        # A scalar pass, as in _best_response; edges run in layer order.
+        # A scalar pass over the edges, which run in layer order.
         grid_n = self.hit.shape[0]
         at, plan = [1.0] + [0.0] * self.nodes, [1.0] + [0.0] * self.nodes
         alive, fire, marginal = [0.0] * grid_n, [0.0] * grid_n, [0.0] * grid_n
@@ -433,6 +402,33 @@ class _FlowGraph:
                 fire[g] += x
                 marginal[g] += y
         return np.array(alive), self.hit * np.array(fire), np.array(marginal) / self.shots
+
+    def best_gain(self, opp_alive: np.ndarray, opp_fire: np.ndarray) -> float:
+        """The best gain of a path against the opponent's (alive, fire) profile: W at the source.
+
+        One backward scalar pass over the edges, read through zero-copy
+        memoryviews: numpy calls on a node's two edges cost more than the
+        arithmetic.  A node's fire edge comes before its hold edge, so it
+        sets W there, and the hold edge replaces it unless fire is strictly
+        larger: ties hold.  Every head is set before an edge reads it, so a
+        sure hit never multiplies 0 by inf.  The float operations and their
+        order are fixed, because solve_duel's reported value is built from
+        the gain.
+        """
+        alive, fired, hits = (
+            memoryview(np.ascontiguousarray(v, dtype=float)) for v in (opp_alive, opp_fire, self.hit)
+        )
+        value = [-math.inf] * self.nodes + [0.0]
+        edges = (reversed(memoryview(a)) for a in (self.layer, self.tail, self.head, self.fires))
+        for g, i, j, fires in zip(*edges):
+            if fires:
+                h = hits[g]
+                value[i] = (h * alive[g] - fired[g]) + (1.0 - h) * value[j]
+            else:
+                hold = value[j] - fired[g]
+                if not value[i] > hold:
+                    value[i] = hold
+        return value[0]
 
 
 def _duel_lp(rows: _FlowGraph, cols: _FlowGraph) -> _LP:
@@ -485,9 +481,10 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     """Solve the discretized duel as one sequence-form LP and report per-shot time densities.
 
     The game is discretize_duel's, but only _duel_lp, of O(grid_n * shots)
-    size, is built and solved.  Exact best responses (_best_response) to
-    the behavioural strategies of its row and column flows bound the full
-    game's value: ``lower`` is what the column player can hold the row
+    size, is built and solved.  Exact best responses to the behavioural
+    strategies of its row and column flows, each one backward pass over the
+    responder's own graph (_FlowGraph.best_gain), bound the full game's
+    value: ``lower`` is what the column player can hold the row
     strategy to, ``upper`` what the row player can get off the column
     strategy.  value is their midpoint and residual their gap; a gap above
     SADDLE_TOL fails the run.  As in _certify, a skew-symmetric game (equal
@@ -507,8 +504,8 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     def certify(x: np.ndarray, duals: np.ndarray):
         row_alive, row_fire, p1 = rows.behaviour(np.maximum(x[: len(rows.layer)], 0.0))
         col_alive, col_fire, p2 = cols.behaviour(np.maximum(-duals[: len(cols.layer)], 0.0))
-        lower = -_best_response(row_alive, row_fire, q_hit, n)
-        upper = _best_response(col_alive, col_fire, p_hit, m)
+        lower = -cols.best_gain(row_alive, row_fire)
+        upper = rows.best_gain(col_alive, col_fire)
         if symmetric:
             # The column strategy, played as the row, guarantees -upper.
             if -upper > lower:

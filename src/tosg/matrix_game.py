@@ -56,8 +56,7 @@ def guard_cells(cells: int, what: str) -> None:
     """
     if cells > MAX_STRATEGY_PAIRS:
         raise ResourceLimitError(
-            f"{what} needs {cells} cells, over the cap of {MAX_STRATEGY_PAIRS} "
-            "strategy pairs; use a smaller grid"
+            f"{what} needs {cells} cells, over the cap of {MAX_STRATEGY_PAIRS} cells; use a smaller grid"
         )
 
 

@@ -154,9 +154,7 @@ def verify_optimality(kernel: TimingKernel, strategy: MixedStrategy) -> tuple[fl
     skew-symmetry; its residual is the absolute deviation.
     """
     if len(strategy) != kernel.grid_n:
-        raise InputError(
-            f"strategy has {len(strategy)} weights for a {kernel.grid_n}-point grid"
-        )
+        raise InputError(f"strategy has {len(strategy)} weights for a {kernel.grid_n}-point grid")
     weights = strategy.weights
     response = weights @ kernel.matrix
     residual_eq11 = max(0.0, -float(response.min()))
@@ -184,7 +182,7 @@ def solve_timing(kernel: TimingKernel) -> TimingSolution:
 def spectrum(strategy: MixedStrategy, kernel: TimingKernel) -> tuple[np.ndarray, bool]:
     """Grid points carrying mass above DUST_TOL, with the zero atom split off."""
     if len(strategy) != kernel.grid_n:
-        raise InputError("strategy does not match the kernel grid")
+        raise InputError(f"strategy has {len(strategy)} weights for a {kernel.grid_n}-point grid")
     weights = strategy.weights
     has_zero_atom = bool(weights[0] > DUST_TOL)
     idx = np.nonzero(weights[1:] > DUST_TOL)[0] + 1

@@ -14,7 +14,6 @@ from tosg.duel import (
     TimeVector,
     _SIM_CHUNK,
     _FlowGraph,
-    _best_response,
     _duel_lp,
     _hits,
     _profiles,
@@ -107,7 +106,7 @@ def sampled_duels(draw):
 
 
 def best_response_reference(opp_alive: np.ndarray, opp_fire: np.ndarray, hit: np.ndarray, shots: int) -> float:
-    """The reference for _best_response: the recurrence vectorised over shots, one grid step at a time."""
+    """The reference for _FlowGraph.best_gain: its recurrence over (g, k), vectorised over shots, one grid step at a time."""
     grid_n = hit.shape[0]
     value = np.full(shots + 1, -np.inf)
     value[0] = 0.0
@@ -349,9 +348,9 @@ class TestBestResponse:
         row_alive, row_fire = _profiles(rows, p_hit, grid_n)
         col_alive, col_fire = _profiles(cols, q_hit, grid_n)
 
-        gain = _best_response(sigma @ row_alive, sigma @ row_fire, q_hit, spec.n)
+        gain = _FlowGraph(q_hit, spec.n).best_gain(sigma @ row_alive, sigma @ row_fire)
         assert -gain == pytest.approx((sigma @ game).min(), abs=1e-12)
-        upper = _best_response(tau @ col_alive, tau @ col_fire, p_hit, spec.m)
+        upper = _FlowGraph(p_hit, spec.m).best_gain(tau @ col_alive, tau @ col_fire)
         assert upper == pytest.approx((game @ tau).max(), abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -379,26 +378,33 @@ class TestBestResponse:
     @example((np.zeros(5), np.zeros(5), np.linspace(0.0, 1.0, 5), 5))  # shots == grid_n
     @example((np.array([0.3, 0.1]), np.array([0.1, 0.0]), np.array([0.0, 1.0]), 1))
     @example((np.array([0.5, 0.5]), np.array([0.0, -0.0]), np.array([1.0, 1.0]), 2))
+    # At the source fire gives -0.0 and hold 0.0: ties hold.
+    @example((np.array([-0.0, 0.2]), np.array([0.0, 0.1]), np.array([1.0, 0.5]), 1))
+    # Hold gives -0.0 - 0.0 = -0.0 at the source; (0.0 - 0.0) + -0.0 would give 0.0.
+    @example((np.array([0.0, -0.0, 0.0]), np.array([0.0, 0.0, 0.1]), np.array([0.0, 1.0, 0.0]), 1))
     def test_matches_the_vectorised_recurrence(self, case):
         expected = best_response_reference(*case)
-        gain = _best_response(*case)
+        opp_alive, opp_fire, hit, shots = case
+        gain = _FlowGraph(hit, shots).best_gain(opp_alive, opp_fire)
         assert gain == expected
         assert math.copysign(1.0, gain) == math.copysign(1.0, expected)
 
     def test_profiles_are_read_in_place(self):
-        # The profiles are read through memoryviews, and nothing is kept
-        # per grid point: no copy, no boxed float, no table of choices.
+        # The profiles and edges are read through memoryviews, and only W is
+        # kept, one boxed float per node (32 bytes measured): no copy, no
+        # per-edge object, no table of choices.
         grid_n, shots = 50_000, 6
         hit = np.linspace(0.0, 1.0, grid_n)
         alive = 1.0 - 0.5 * hit
         fire = 0.1 * alive * hit
+        graph = _FlowGraph(hit, shots)
         tracemalloc.start()
         try:
-            _best_response(alive, fire, hit, shots)
+            graph.best_gain(alive, fire)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4096
+        assert peak <= 40 * (graph.nodes + 1)
 
 
 @st.composite
@@ -609,13 +615,13 @@ class TestSolveDuel:
         # the presolve run, which is certified afresh.
         runs = []
         load = tosg.duel._load_lp
-        best_response = tosg.duel._best_response
+        best_gain = _FlowGraph.best_gain
 
         def short_first(*args):
-            return best_response(*args) + (1.0 if len(runs) == 1 else 0.0)
+            return best_gain(*args) + (1.0 if len(runs) == 1 else 0.0)
 
         monkeypatch.setattr(tosg.duel, "_load_lp", lambda *args: CountingHighs(load(*args), runs))
-        monkeypatch.setattr(tosg.duel, "_best_response", short_first)
+        monkeypatch.setattr(_FlowGraph, "best_gain", short_first)
         solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
         assert runs == ["off", "on"]
         assert abs(solution.value - -0.47292884098749355) <= 1e-9

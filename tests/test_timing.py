@@ -204,8 +204,11 @@ class TestVerifyOptimality:
         assert residual_eq12 == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            verify_optimality(DUEL_201, MixedStrategy(np.full(11, 1 / 11)))
+        strategy = MixedStrategy(np.full(11, 1 / 11))
+        # Both readers of a strategy on a kernel refuse a mismatch alike.
+        for check in (lambda: verify_optimality(DUEL_201, strategy), lambda: spectrum(strategy, DUEL_201)):
+            with pytest.raises(InputError, match="^strategy has 11 weights for a 201-point grid$"):
+                check()
 
 
 class TestSpectrum:
