@@ -306,13 +306,18 @@ def solve_tosg(problem: TosgProblem) -> TosgSolution:
 
     # A maximum needs the Lagrangian's Hessian H negative definite on J's
     # null space Z: the right singular vectors past J's rank (none at n = 3
-    # when J has full rank, as in the golden config).
+    # when J has full rank, as in the golden config).  A row the rank test
+    # drops can hold d* by a huge multiplier while the objective still
+    # rises along it, so the objective's slope along Z must vanish too.
     _, singular, right = np.linalg.svd(jac)
     null = right[np.count_nonzero(singular > singular.max() * n * np.finfo(float).eps) :].T
+    grad_obj = np.asarray(problem.objective.gradient(d), dtype=float)
+    slope = float(np.abs(null.T @ grad_obj).max(initial=0.0))
     curvature = np.linalg.eigvalsh(null.T @ hess @ null).max(initial=-np.inf)
-    if not curvature < 0.0:
+    if slope > _KKT_TOL * (1.0 + float(np.abs(grad_obj).max())) or not curvature < 0.0:
         raise SolverError(
-            f"the stationary point is not a constrained maximum: Z^T H Z has eigenvalue {curvature:.3e}"
+            "the stationary point is not a constrained maximum: along Z the objective"
+            f" has slope {slope:.3e} and Z^T H Z has eigenvalue {curvature:.3e}"
         )
     mults = tuple(float(m) for m in multipliers)
     value = tosg_value(problem, d, mults)

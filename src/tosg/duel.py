@@ -24,9 +24,9 @@ from .matrix_game import (
     _field,
     _LP,
     _load_lp,
+    _saddle,
     _solve_lp,
     _time_table,
-    _verified_gap,
     guard_cells,
 )
 # Called nowhere: kept only for perfbench/spans.py's WRAPS; ROADMAP item 2 removes it.
@@ -486,10 +486,11 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     responder's own graph (_FlowGraph.best_gain), bound the full game's
     value: ``lower`` is what the column player can hold the row
     strategy to, ``upper`` what the row player can get off the column
-    strategy.  value is their midpoint and residual their gap; a gap above
-    SADDLE_TOL fails the run.  As in _certify, a skew-symmetric game (equal
-    shots and accuracies) gives both players whichever strategy guarantees
-    more.  guard_cells bounds the LP's nonzeros, and so every array, first.
+    strategy.  _saddle makes their midpoint the value and their gap the
+    residual, fails a gap above SADDLE_TOL, and gives both players of a
+    symmetric game (equal shots and accuracies) whichever strategy
+    guarantees more.  guard_cells bounds the LP's nonzeros, and so every
+    array, first.
     """
     _check_grid(spec, grid_n)
     m, n = spec.m, spec.n
@@ -504,24 +505,16 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     def certify(x: np.ndarray, duals: np.ndarray):
         row_alive, row_fire, p1 = rows.behaviour(np.maximum(x[: len(rows.layer)], 0.0))
         col_alive, col_fire, p2 = cols.behaviour(np.maximum(-duals[: len(cols.layer)], 0.0))
-        lower = -cols.best_gain(row_alive, row_fire)
-        upper = rows.best_gain(col_alive, col_fire)
-        if symmetric:
-            # The column strategy, played as the row, guarantees -upper.
-            if -upper > lower:
-                p1, lower = p2, -upper
-            p2, upper = p1, -lower
-        _verified_gap(lower, upper)
-        return p1, p2, lower, upper
+        return _saddle(p1, p2, -cols.best_gain(row_alive, row_fire), rows.best_gain(col_alive, col_fire), symmetric)
 
     name = "sequence-form LP"
-    p1, p2, lower, upper = _solve_lp(_load_lp(_duel_lp(rows, cols), name), certify, name)
+    p1, p2, value, residual = _solve_lp(_load_lp(_duel_lp(rows, cols), name), certify, name)
     return DuelSolution(
-        value=0.5 * (lower + upper),
+        value=value,
         p1_density=MixedStrategy(p1),
         p2_density=MixedStrategy(p2),
         support_p1=_support_interval(grid, p1),
         support_p2=_support_interval(grid, p2),
         grid_n=grid_n,
-        residual=max(upper - lower, 0.0),
+        residual=residual,
     )

@@ -30,12 +30,12 @@ MASS_TOL = 1e-12
 DUST_TOL = 1e-6
 # The verified saddle gap every exact solve must reach.
 SADDLE_TOL = 1e-9
-# The most cells any one large array may hold (96 MB of float64): the full
-# duel matrix of discretize_duel (a 21-point grid at 2-vs-6 attempts has
-# 11,395,440 pure pairs), the nonzeros of solve_duel's sequence-form LP
-# (which also bound its flow graphs), and the grid_n**2 timing kernel
-# (grids up to 3,464 points).
-MAX_STRATEGY_PAIRS = 12_000_000
+# The most cells any one large array may hold (96 MB of float64), whatever
+# a cell holds: a pure-strategy pair of discretize_duel's full duel matrix
+# (a 21-point grid at 2-vs-6 attempts has 11,395,440), a nonzero of
+# solve_duel's sequence-form LP (which also bounds its flow graphs), or an
+# entry of the grid_n**2 timing kernel (grids up to 3,464 points).
+MAX_CELLS = 12_000_000
 
 
 def __getattr__(name: str):
@@ -50,13 +50,13 @@ def __getattr__(name: str):
 
 
 def guard_cells(cells: int, what: str) -> None:
-    """Refuse ``what`` when its arrays need more than MAX_STRATEGY_PAIRS cells.
+    """Refuse ``what`` when its arrays need more than MAX_CELLS cells.
 
     Callers count the cells before allocating anything of that size.
     """
-    if cells > MAX_STRATEGY_PAIRS:
+    if cells > MAX_CELLS:
         raise ResourceLimitError(
-            f"{what} needs {cells} cells, over the cap of {MAX_STRATEGY_PAIRS} cells; use a smaller grid"
+            f"{what} needs {cells} cells, over the cap of {MAX_CELLS} cells; use a smaller grid"
         )
 
 
@@ -228,50 +228,42 @@ def _normalized(x: np.ndarray) -> np.ndarray:
     return x / total
 
 
-# sigma, tau, and their verified security levels lower and upper.
-_Certified = tuple[np.ndarray, np.ndarray, float, float]
+def _saddle(row, col, lower: float, upper: float, symmetric: bool) -> tuple:
+    """(row, col, value, residual) from the verified security levels of two strategies.
 
-
-def _verified_gap(lower: float, upper: float) -> float:
-    """The saddle gap of two verified security levels; SolverError above SADDLE_TOL."""
-    gap = max(upper - lower, 0.0)
-    if gap > SADDLE_TOL:
-        raise SolverError(f"saddle gap {gap:.3e} exceeds tol {SADDLE_TOL:.3e}")
-    return gap
-
-
-def _certify(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> _Certified:
-    """The strategies certified by the row LP's primal x and column-row duals.
-
-    sigma is x normalized and tau the negated duals normalized.  lower is
-    what the column player can hold sigma to and upper what the row player
-    can get off tau; their gap is the verified saddle gap.  A
-    skew-symmetric game (A = -A^T) has value 0 and one optimal strategy for
-    both players, so both get whichever of sigma and tau guarantees more;
-    the gap is then twice that one's shortfall.  A gap above SADDLE_TOL
-    raises SolverError.
+    lower is what the column player can hold ``row`` to and upper what the
+    row player can get off ``col``.  value is their midpoint and residual
+    their gap; a gap above SADDLE_TOL raises SolverError.  In a symmetric
+    game (as A = -A^T) ``col`` played as the row guarantees -upper, so both
+    players get whichever guarantees more, and the value is exactly 0.
     """
+    if symmetric:
+        if -upper > lower:
+            row, lower = col, -upper
+        col, upper = row, -lower
+    residual = max(upper - lower, 0.0)
+    if residual > SADDLE_TOL:
+        raise SolverError(f"saddle gap {residual:.3e} exceeds tol {SADDLE_TOL:.3e}")
+    return row, col, 0.5 * (lower + upper), residual
+
+
+def _certify(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> tuple:
+    """_saddle on game ``a`` of sigma and tau: the row LP's primal x and negated column-row duals, normalized."""
     sigma = _normalized(x)
     # HiGHS reports the duals of <= rows as nonpositive; negated they are tau*.
     tau = _normalized(-duals)
     m, n = a.shape
-    if m == n and np.array_equal(a, -a.T):
-        if (tau @ a).min() > (sigma @ a).min():
-            sigma = tau
-        tau = sigma
-    lower = float((sigma @ a).min())
-    upper = float((a @ tau).max())
-    _verified_gap(lower, upper)
-    return sigma, tau, lower, upper
+    skew = m == n and np.array_equal(a, -a.T)
+    return _saddle(sigma, tau, float((sigma @ a).min()), float((a @ tau).max()), skew)
 
 
-def _exact_solution(sigma: np.ndarray, tau: np.ndarray, lower: float, upper: float) -> GameSolution:
-    """The GameSolution of a _certify result: the midpoint value and the gap as residual."""
+def _exact_solution(sigma: np.ndarray, tau: np.ndarray, value: float, residual: float) -> GameSolution:
+    """The GameSolution of a _certify result."""
     return GameSolution(
-        value=0.5 * (lower + upper),
+        value=value,
         row_strategy=MixedStrategy(sigma),
         col_strategy=MixedStrategy(tau),
-        residual=max(upper - lower, 0.0),
+        residual=residual,
         method="exact",
     )
 
@@ -281,22 +273,22 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
 
     One HiGHS program, _row_lp, maximizes v subject to sigma^T A >= v per
     column, and the column strategy is read from the duals of those column
-    constraints.  The reported value is the midpoint of the verified
-    security levels of the two returned strategies and the residual is
-    their gap, so the saddle contract
+    constraints.  _certify reports, through _saddle, the midpoint of the
+    verified security levels of the two returned strategies as the value
+    and their gap as the residual, so the saddle contract
 
         payoff(sigma*, any pure column) >= value - residual
         payoff(any pure row, tau*) <= value + residual
 
-    holds by construction; _certify states the skew-symmetric rule and
-    raises SolverError on a gap above SADDLE_TOL.  If both runs of
+    holds by construction; a skew-symmetric game reports value exactly 0,
+    and a gap above SADDLE_TOL raises SolverError.  If both runs of
     _solve_lp's ladder fail, the shifted game A + 1 - min A, whose entries
     are all at least 1, climbs it too, certified against A: sigma is the
     same under the shift, and tau still comes from the duals.
     """
     a = game.entries
 
-    def certify(x: np.ndarray, duals: np.ndarray) -> _Certified:
+    def certify(x: np.ndarray, duals: np.ndarray) -> tuple:
         # The v column and the sum row come last.
         return _certify(a, x[:-1], duals[:-1])
 
@@ -398,8 +390,9 @@ def _solve_lp(highs, certify: Callable[[np.ndarray, np.ndarray], tuple], name: s
     """``certify(x, duals)`` of the first run of a _load_lp model that it accepts.
 
     The one HiGHS driver.  x is the primal and duals the row duals,
-    nonpositive on ``<=`` rows; certify raises SolverError to reject them.
-    Only a failed run moves down the ladder, and a failed last rung raises:
+    nonpositive on ``<=`` rows; certify ends in _saddle, whose SolverError
+    rejects them.  Only a failed run moves down the ladder, and a failed
+    last rung raises:
 
     1. A cold run without presolve: on a dense game it removes nothing, and
        skipping it takes the 201-point timing LP from about 35 to 26 ms and

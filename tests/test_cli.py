@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import os
+import platform
 import random
 import re
 import shlex
@@ -529,10 +530,14 @@ print(json.dumps({
 """
 
 
-def run_probe(*args: str) -> subprocess.CompletedProcess:
-    """Run python -c args in a fresh interpreter that imports tosg from this checkout."""
+def run_probe(*args: str, **variables: str) -> subprocess.CompletedProcess:
+    """Run python -c args in a fresh interpreter that imports tosg from this checkout.
+
+    ``variables`` are set in that interpreter's environment only.
+    """
     src = str(Path(tosg.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **variables, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-c", *args], capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -618,6 +623,24 @@ class TestStartup:
         assert probe.returncode == 1
         assert probe.stdout == ""
         assert probe.stderr == f"error: cannot load HiGHS's _core extension from {folder}; tosg needs scipy 1.17.x\n"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS core types are x86-64's")
+class TestPortableBits:
+    def test_skew_symmetric_timing_value_is_zero_under_the_prescott_kernel(self, tmp_path):
+        # OpenBLAS's Prescott (SSE3) kernels run on any x86-64 CPU and round
+        # BLAS products unlike the kernels it picks for a newer one; the
+        # value of a skew-symmetric game must not move with them.
+        timing = write(tmp_path, "timing.json", {"A": {"kind": "duel"}, "grid_n": 201})
+        runs = {"run-protocol": str(DATA / "golden_protocol_config.json"), "solve-timing": timing}
+        for command, path in runs.items():
+            probe = run_probe(
+                "import sys, tosg.cli; sys.exit(tosg.cli.main(sys.argv[1:]))", command, path,
+                OPENBLAS_CORETYPE="Prescott",
+            )
+            assert probe.returncode == 0, probe.stderr
+            doc = json.loads(probe.stdout)
+            assert doc.get("timing", doc)["value"] == 0.0, command
 
 
 class TestCliContract:

@@ -301,6 +301,40 @@ class TestSolveTosg:
         np.ones(8),
         1.0,
     )
+    # The rank test drops the 1.8e-39 row, so Z = e_0 and Z^T H Z = -2 < 0;
+    # but Newton's d* = (2.6e-18, 0, 0), held by a multiplier of 1.1e39 on
+    # that row, sits where the objective still rises along -e_0.
+    @example(
+        TosgProblem(
+            QuadraticObjective([-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]),
+            (
+                CoordinateConstraint(1),
+                AffineConstraint([0.0, 0.0, 1.0], 0.0),
+                AffineConstraint([1.78780491e-39, 0.0, 0.0], 0.0),
+            ),
+            (0.0, 0.0, 0.0),
+            3,
+        ),
+        -np.ones(8),
+        1.0,
+    )
+    # Rows 0 and 1 are 4e-8 from parallel, so J has full rank and d* = 0 is
+    # the only feasible point.  Projecting through lstsq's solution of size
+    # 1e7 left z moving row 2 by 6e-8, and the objective d_2 rose by 9e-8.
+    @example(
+        TosgProblem(
+            QuadraticObjective([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+            (
+                CoordinateConstraint(0),
+                AffineConstraint([-1.0, -5.96046448e-08, 0.0], 0.0),
+                AffineConstraint([1.0, 0.0, 1.0], 0.0),
+            ),
+            (0.0, 0.0, 0.0),
+            3,
+        ),
+        np.ones(8),
+        1.0,
+    )
     def test_returned_point_is_a_constrained_maximum(self, problem, direction, t):
         # Along any direction z that keeps every constraint at its target,
         # the objective at d* + t z is at most its value at d*.
@@ -311,7 +345,12 @@ class TestSolveTosg:
         d = solution.d_star
         jac = np.vstack([c.gradient(d) for c in problem.constraints])
         z = direction[: problem.dimension]
-        z = z - jac.T @ np.linalg.lstsq(jac.T, z, rcond=None)[0]
+        # Remove z's part in J's row space through an orthonormal basis of it,
+        # cut at lstsq's default rank; that stays accurate when J is
+        # ill-conditioned.
+        _, singular, right = np.linalg.svd(jac)
+        rows = right[: np.count_nonzero(singular > singular.max() * max(jac.shape) * np.finfo(float).eps)]
+        z = z - rows.T @ (rows @ z)
         before = problem.objective.value(d)
         assert problem.objective.value(d + t * z) <= before + 1e-8 * (1.0 + abs(before))
 

@@ -502,15 +502,13 @@ class TestFlowGraph:
 class TestSolveDuel:
     def test_symmetric_one_shot_desk_scale(self):
         solution = solve_duel(ONE_SHOT, 201)
-        assert abs(solution.value) <= 1e-9
+        assert solution.value == 0.0
         assert solution.support_p1[0] == pytest.approx(1.0 / 3.0, abs=0.02)
         assert solution.support_p1[1] == 1.0
 
     def test_symmetric_densities_agree(self):
         solution = solve_duel(ONE_SHOT, 101)
-        assert np.allclose(
-            solution.p1_density.weights, solution.p2_density.weights, atol=1e-9
-        )
+        assert np.array_equal(solution.p1_density.weights, solution.p2_density.weights)
 
     def test_density_matches_classical_shape(self):
         # The discrete optimum alternates between grid sublattices, so the

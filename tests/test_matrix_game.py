@@ -193,7 +193,7 @@ class TestSolveExact:
         skew = np.triu(entries @ entries.T, k=1) if entries.shape[0] > 1 else np.zeros((1, 1))
         skew = skew - skew.T
         solution = solve_exact(PayoffMatrix(skew))
-        assert abs(solution.value) <= 1e-9
+        assert solution.value == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(skew_strategy)
@@ -210,7 +210,7 @@ class TestSolveExact:
         solution = solve_exact(PayoffMatrix(entries))
         assert np.array_equal(solution.row_strategy.weights, solution.col_strategy.weights)
         assert solution.residual <= 1e-9
-        assert abs(solution.value) <= 1e-9
+        assert solution.value == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(

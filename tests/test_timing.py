@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_monotone_kernel
 from tosg.duel import AccuracyFunction, DuelSpec, discretize_duel
 from tosg.errors import InputError, ResourceLimitError
-from tosg.matrix_game import MAX_STRATEGY_PAIRS, MixedStrategy, PayoffMatrix, solve_fictitious_play
+from tosg.matrix_game import MAX_CELLS, MixedStrategy, PayoffMatrix, solve_fictitious_play
 from tosg.timing import (
     build_kernel,
     classify_boundary,
@@ -93,7 +93,7 @@ class TestBuildKernel:
         assert peak <= 3.5 * grid_n * grid_n * 8
 
     def test_oversized_grid_refused_before_allocation(self):
-        grid_n = math.isqrt(MAX_STRATEGY_PAIRS) + 1  # grid_n**2 cells just over the cap
+        grid_n = math.isqrt(MAX_CELLS) + 1  # grid_n**2 cells just over the cap
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError):
@@ -148,7 +148,7 @@ class TestClassifyBoundary:
 class TestSolveTiming:
     def test_duel_kernel_desk_scale(self):
         solution = solve_timing(DUEL_201)
-        assert abs(solution.value) <= 1e-9
+        assert solution.value == 0.0
         assert not solution.has_zero_atom
         assert solution.support_lo == pytest.approx(1.0 / 3.0, abs=0.02)
         assert solution.residual_eq11 <= 1e-6
@@ -165,14 +165,14 @@ class TestSolveTiming:
     def test_random_kernels_have_value_zero(self, seed, grid_n):
         kernel = random_monotone_kernel(np.random.default_rng(seed), grid_n)
         solution = solve_timing(kernel)
-        assert abs(solution.value) <= 1e-9
+        assert solution.value == 0.0
         assert solution.residual_eq11 <= 1e-6
 
     def test_duel_kernel_801_meets_default_tol(self):
         # The row LP's own strategy falls short by 3.6e-9 here; its dual does not.
         solution = solve_timing(build_kernel(duel_kernel_fn, 801))
         assert solution.residual_eq11 <= 5e-10
-        assert abs(solution.value) <= 1e-9
+        assert solution.value == 0.0
 
     def test_support_refinement_moves_at_most_one_cell(self):
         for grid_n in (51, 101):
