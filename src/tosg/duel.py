@@ -375,6 +375,7 @@ class _FlowGraph:
         self.hit, self.shots, self.nodes, self.fires = hit, shots, int(ids[-1, 0]), fired == 1
         self.tail, self.head = ids[self.layer, left], ids[self.layer + 1, left - fired]
         self.gain = np.where(self.fires, 1.0 - hit[self.layer], 1.0)
+        self.first = np.append(True, self.tail[1:] != self.tail[:-1])
 
     def behaviour(self, flow: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (alive, fire) profile and per-shot time marginal of a flow's behavioural strategy.
@@ -386,8 +387,7 @@ class _FlowGraph:
         marginal is the fire-edge mass with every gain 1, per shot.
         """
         out = np.bincount(self.tail, flow, self.nodes)[self.tail]
-        first = np.append(True, self.tail[1:] != self.tail[:-1])
-        share = np.divide(flow, out, out=first.astype(float), where=out > 0.0)
+        share = np.divide(flow, out, out=self.first.astype(float), where=out > 0.0)
         # A scalar pass over the edges, which run in layer order.
         grid_n = self.hit.shape[0]
         at, plan = [1.0] + [0.0] * self.nodes, [1.0] + [0.0] * self.nodes
@@ -403,7 +403,7 @@ class _FlowGraph:
                 marginal[g] += y
         return np.array(alive), self.hit * np.array(fire), np.array(marginal) / self.shots
 
-    def best_gain(self, opp_alive: np.ndarray, opp_fire: np.ndarray) -> float:
+    def best_gain(self, opp_alive: np.ndarray, opp_fire: np.ndarray, picks: list | None = None) -> float:
         """The best gain of a path against the opponent's (alive, fire) profile: W at the source.
 
         One backward scalar pass over the edges, read through zero-copy
@@ -413,21 +413,25 @@ class _FlowGraph:
         larger: ties hold.  Every head is set before an edge reads it, so a
         sure hit never multiplies 0 by inf.  The float operations and their
         order are fixed, because solve_duel's reported value is built from
-        the gain.
+        the gain.  Given ``picks``, a list over the nodes, the pass also
+        records there the edge each node's best response takes.
         """
         alive, fired, hits = (
             memoryview(np.ascontiguousarray(v, dtype=float)) for v in (opp_alive, opp_fire, self.hit)
         )
         value = [-math.inf] * self.nodes + [0.0]
         edges = (reversed(memoryview(a)) for a in (self.layer, self.tail, self.head, self.fires))
-        for g, i, j, fires in zip(*edges):
+        for e, g, i, j, fires in zip(reversed(range(len(self.layer))), *edges):
             if fires:
                 h = hits[g]
                 value[i] = (h * alive[g] - fired[g]) + (1.0 - h) * value[j]
             else:
                 hold = value[j] - fired[g]
-                if not value[i] > hold:
-                    value[i] = hold
+                if value[i] > hold:
+                    continue
+                value[i] = hold
+            if picks is not None:
+                picks[i] = e
         return value[0]
 
 
@@ -440,6 +444,15 @@ def _duel_lp(rows: _FlowGraph, cols: _FlowGraph) -> _LP:
     over z and potentials u (0 at the sink): a ``<= 0`` row u_i - gain_e
     u_j - c_e(z) per column edge e = i -> j, then z's conservation rows,
     with exact zeros left out.  y is the negated duals of the edge rows.
+
+    The start basis is block-triangular, so nonsingular, and primal
+    feasible.  Its z is the row player's hold-first pure strategy: each row
+    node's first edge is basic, so the flow on those edges is a unit path
+    flow.  Every u is basic, and so is every edge row's slack but one per
+    column node: the edge the column player's best response to that path
+    takes there (best_gain's picks), where u is the least over its node's
+    edges.  The primal simplex never takes a free column out of the
+    basis, so every u stays basic and y conserves flow by construction.
     """
     z_cols, edge_rows = len(rows.layer), len(cols.layer)
     # Each row edge meets every column edge of its layer; column edges are numbered by layer.
@@ -466,14 +479,22 @@ def _duel_lp(rows: _FlowGraph, cols: _FlowGraph) -> _LP:
     cost, balance = np.zeros(num_col), np.zeros(rows.nodes)
     cost[z_cols] = -1.0  # the column source's potential, maximized
     balance[0] = 1.0
-    # A unit flow is at most 1 on every edge.  The bound is implied, but
-    # the dual simplex solves in fewer iterations with z boxed, and y stays
-    # a best response: z's best response to y satisfies it anyway.
+    row_alive, row_fire, _ = rows.behaviour(np.zeros(z_cols))  # no flow: every node's first edge
+    picks = [0] * cols.nodes
+    cols.best_gain(row_alive, row_fire, picks)
+    slack = np.ones(edge_rows, dtype=bool)
+    slack[picks] = False
+    # A unit flow is at most 1 on every edge.  The bound is implied, and
+    # the primal simplex from the start basis takes as many iterations
+    # without it, but the dual simplex from the slack basis takes fewer
+    # with z boxed, and y stays a best response: z's best response to y
+    # satisfies it anyway.
     return _LP(
         cost, np.append(np.zeros(z_cols), np.full(cols.nodes, -np.inf)),
         np.append(np.ones(z_cols), np.full(cols.nodes, np.inf)),
         np.append(np.full(edge_rows, -np.inf), balance), np.append(np.zeros(edge_rows), balance),
         start, row[order].astype(np.int32), value[order],
+        np.concatenate([rows.first, np.ones(cols.nodes, dtype=bool), slack, np.zeros(rows.nodes, dtype=bool)]),
     )
 
 

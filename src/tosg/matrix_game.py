@@ -340,7 +340,11 @@ def _highs_core():
 
 class _LP(NamedTuple):
     """Minimize cost @ x within the column and row bounds; the matrix is column-wise
-    (column j holds value[start[j]:start[j + 1]] in the rows index[start[j]:start[j + 1]])."""
+    (column j holds value[start[j]:start[j + 1]] in the rows index[start[j]:start[j + 1]]).
+
+    ``basic``, if given, marks a start basis over the columns and then the
+    rows: one basic per row, nonsingular.
+    """
 
     cost: np.ndarray
     col_lower: np.ndarray
@@ -350,6 +354,7 @@ class _LP(NamedTuple):
     start: np.ndarray
     index: np.ndarray
     value: np.ndarray
+    basic: np.ndarray | None = None
 
 
 def _load_lp(lp: _LP, name: str):
@@ -358,13 +363,23 @@ def _load_lp(lp: _LP, name: str):
     HiGHS drops matrix entries up to ``small_matrix_value``, 1e-9 by
     default, which leaves a game of such entries short of the saddle
     contract, so the model keeps every entry above 1e-12, the least HiGHS
-    accepts.  HiGHS is driven through scipy's private ``_highspy`` binding,
-    which pyproject pins, loaded by _highs_core on the first model.
+    accepts.  An LP without a start basis is solved by the dual simplex
+    from the slack basis.  One with a start basis gets it through setBasis,
+    each nonbasic column and row at its lower bound where that is finite
+    and at its upper bound otherwise, and is solved by the primal simplex,
+    which keeps a feasible start feasible.  The basis is passed as not
+    alien, so setBasis only counts its basics and run factors it: an alien
+    basis is factored twice, about 0.15 ms of the 4 ms 2-vs-6 grid-21 duel.
+    HiGHS is driven through
+    scipy's private ``_highspy`` binding, which pyproject pins, loaded by
+    _highs_core on the first model.
     """
     core = _highs_core()
     highs = core._Highs()
+    strategy = core.simplex_constants.SimplexStrategy
     options = {
-        "simplex_strategy": core.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+        "simplex_strategy": strategy.kSimplexStrategyDual if lp.basic is None else strategy.kSimplexStrategyPrimal,
+        "presolve": "off",
         "output_flag": False,
         "log_to_console": False,
         "small_matrix_value": 1e-12,
@@ -383,6 +398,14 @@ def _load_lp(lp: _LP, name: str):
     )
     if status == core.HighsStatus.kError:
         raise SolverError(f"HiGHS refused the game's {name}")
+    if lp.basic is not None:
+        kinds = core.HighsBasisStatus
+        lower = np.isfinite(np.concatenate([lp.col_lower, lp.row_lower]))
+        statuses = np.array([kinds.kUpper, kinds.kLower, kinds.kBasic])[np.where(lp.basic, 2, lower)]
+        basis = core.HighsBasis()
+        basis.col_status, basis.row_status = statuses[:num_col], statuses[num_col:]
+        basis.alien = False
+        highs.setBasis(basis)
     return highs
 
 
@@ -394,25 +417,31 @@ def _solve_lp(highs, certify: Callable[[np.ndarray, np.ndarray], tuple], name: s
     rejects them.  Only a failed run moves down the ladder, and a failed
     last rung raises:
 
-    1. A cold run without presolve: on a dense game it removes nothing, and
-       skipping it takes the 201-point timing LP from about 35 to 26 ms and
-       the 801-point one from about 1.5 to 1.35 s (2 vCPUs), with the same
-       iterations and bit-identical results.  Entries of about 1e-12 to
-       1e-9 beside O(1) ones can end it at ``Not Set`` or ``Unknown``, or
-       short of SADDLE_TOL.
-    2. The same model again, now with presolve.
+    1. The run _load_lp set up, without presolve: on a dense game it
+       removes nothing, and skipping it takes the 201-point timing LP from
+       about 35 to 26 ms and the 801-point one from about 1.5 to 1.35 s
+       (2 vCPUs), with the same iterations and bit-identical results.
+       Entries of about 1e-12 to 1e-9 beside O(1) ones can end it at
+       ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.
+    2. A cold dual-simplex run with presolve.  HiGHS skips presolve on a
+       model that holds a useful basis, as rung 1 leaves behind, so the
+       solver's data is cleared first.
     """
-    for presolve in ("off", "on"):
-        highs.setOptionValue("presolve", presolve)
+    core = _highs_core()
+    for rung in (1, 2):
+        if rung == 2:
+            highs.clearSolver()
+            highs.setOptionValue("simplex_strategy", core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+            highs.setOptionValue("presolve", "on")
         highs.run()
         status = highs.getModelStatus()
         try:
-            if status != _highs_core().HighsModelStatus.kOptimal:
+            if status != core.HighsModelStatus.kOptimal:
                 raise SolverError(f"{name} failed: {highs.modelStatusToString(status)}")
             solution = highs.getSolution()
             return certify(np.array(solution.col_value), np.array(solution.row_dual))
         except SolverError:
-            if presolve == "on":
+            if rung == 2:
                 raise
 
 

@@ -148,8 +148,8 @@ class TestSolveMatrix:
         assert result["residual"] <= 1e-9
 
     def test_tiny_entry_beside_a_9e14_entry_is_solved(self, tmp_path, capsys):
-        # Both runs of this game end at "Unbounded", and the cold run of the
-        # shifted game at "Not Set"; its presolve rerun finishes it.
+        # The cold run of this game ends at "Unbounded", and the presolved
+        # run, which presolve reduces to empty, finishes it.
         code, out, _ = run(capsys, "solve-matrix", write(tmp_path, "game.json", {"entries": [[9e14], [3.8e-12]]}))
         assert code == 0
         result = json.loads(out)

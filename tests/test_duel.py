@@ -434,11 +434,17 @@ def flow_profile(graph: _FlowGraph, flow: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.bincount(graph.layer, flow, grid_n), graph.hit * np.bincount(graph.layer[fires], flow[fires], grid_n)
 
 
-def lp_flows(spec: DuelSpec, grid_n: int) -> tuple[_FlowGraph, np.ndarray, _FlowGraph, np.ndarray]:
-    """Both players' graphs and the flows of solve_duel's LP: the primal for the row, the negated edge-row duals for the column."""
+def duel_lp(spec: DuelSpec, grid_n: int):
+    """Both players' graphs and solve_duel's sequence-form LP."""
     _, p_hit, q_hit = _hits(spec, grid_n)
     rows, cols = _FlowGraph(p_hit, spec.m), _FlowGraph(q_hit, spec.n)
-    x, duals = _solve_lp(_load_lp(_duel_lp(rows, cols), "sequence-form LP"), lambda *sol: sol, "sequence-form LP")
+    return rows, cols, _duel_lp(rows, cols)
+
+
+def lp_flows(spec: DuelSpec, grid_n: int) -> tuple[_FlowGraph, np.ndarray, _FlowGraph, np.ndarray]:
+    """Both players' graphs and the flows of solve_duel's LP: the primal for the row, the negated edge-row duals for the column."""
+    rows, cols, lp = duel_lp(spec, grid_n)
+    x, duals = _solve_lp(_load_lp(lp, "sequence-form LP"), lambda *sol: sol, "sequence-form LP")
     return rows, np.maximum(x[: len(rows.layer)], 0.0), cols, np.maximum(-duals[: len(cols.layer)], 0.0)
 
 
@@ -497,6 +503,41 @@ class TestFlowGraph:
         assert (len(lp.row_lower), len(lp.cost), len(lp.index)) == (260, 208, 1078)
         # solve_duel's guard counts at most 21 * (3mn + 5(m + n) + 4) = 1,680.
         assert len(lp.index) <= 21 * 80
+
+
+class TestStartBasis:
+    @settings(max_examples=40, deadline=None)
+    @given(small_duels)
+    @example((DuelSpec(2, 6, IDENT, IDENT), 21))
+    def test_start_basis_reaches_the_slack_basis_optimum(self, case):
+        spec, grid_n = case
+        rows, cols, lp = duel_lp(spec, grid_n)
+        name = "sequence-form LP"
+        # One basic per row, and the start is primal feasible: HiGHS stops
+        # at it with no infeasibility.
+        assert lp.basic.sum() == len(lp.row_lower)
+        start = _load_lp(lp, name)
+        start.setOptionValue("simplex_iteration_limit", 0)
+        start.run()
+        assert start.getInfo().max_primal_infeasibility <= 1e-10
+        x, duals = _solve_lp(_load_lp(lp, name), lambda *sol: sol, name)
+        slack, _ = _solve_lp(_load_lp(lp._replace(basic=None), name), lambda *sol: sol, name)
+        assert abs(lp.cost @ x - lp.cost @ slack) <= 1e-12
+        # Every potential stays basic, so the negated edge-row duals
+        # conserve the column player's flow at every node.
+        y = -duals[: len(cols.layer)]
+        supply = np.bincount(cols.head, y * cols.gain, cols.nodes + 1)[:-1]
+        supply[0] += 1.0
+        assert np.abs(np.bincount(cols.tail, y, cols.nodes) - supply).max() <= 1e-9
+
+    def test_start_basis_saves_simplex_iterations(self):
+        # 2-vs-6 at grid 21 takes 109 iterations from the start basis and
+        # 351 from the slack basis.
+        _, _, lp = duel_lp(DuelSpec(2, 6, IDENT, IDENT), 21)
+        highs = _load_lp(lp, "sequence-form LP")
+        highs.run()
+        assert highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal
+        assert highs.getInfo().simplex_iteration_count <= 150
 
 
 class TestSolveDuel:
@@ -561,10 +602,10 @@ class TestSolveDuel:
     @pytest.mark.parametrize(
         "grid_n,value",
         [
-            (21, -0.4729288409874949),
-            (41, -0.4923137915790523),
-            (81, -0.49364018033447743),
-            (101, -0.4936702320190787),
+            (21, -0.47292884098749455),
+            (41, -0.49231379157905114),
+            (81, -0.4936401803344772),
+            (101, -0.4936702320190801),
         ],
     )
     def test_two_versus_six_value_bits(self, grid_n, value):
@@ -594,8 +635,8 @@ class TestSolveDuel:
         assert refusal_peak(solve_duel, spec, grid_n) < 1 << 20
 
     def test_failed_runs_climb_the_ladder_and_raise(self, monkeypatch):
-        # Every run ends short of optimal: the cold run, then the rerun with
-        # presolve, and then SolverError.
+        # Every run ends short of optimal: the run from the start basis, then
+        # the presolved run, and then SolverError.
         runs = []
         load = tosg.duel._load_lp
 
@@ -609,19 +650,26 @@ class TestSolveDuel:
         assert runs == ["off", "on"]
 
     def test_failed_certificate_is_solved_again_with_presolve(self, monkeypatch):
-        # A cold run whose strategies fall short of SADDLE_TOL moves down to
-        # the presolve run, which is certified afresh.
-        runs = []
+        # A run from the start basis whose strategies fall short of
+        # SADDLE_TOL moves down to the presolve run, which is certified
+        # afresh.  Rung 1 leaves a basis behind, so presolve runs only
+        # because _solve_lp clears it.
+        runs, models = [], []
         load = tosg.duel._load_lp
         best_gain = _FlowGraph.best_gain
 
         def short_first(*args):
             return best_gain(*args) + (1.0 if len(runs) == 1 else 0.0)
 
-        monkeypatch.setattr(tosg.duel, "_load_lp", lambda *args: CountingHighs(load(*args), runs))
+        def counted(*args):
+            models.append(CountingHighs(load(*args), runs))
+            return models[-1]
+
+        monkeypatch.setattr(tosg.duel, "_load_lp", counted)
         monkeypatch.setattr(_FlowGraph, "best_gain", short_first)
         solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
         assert runs == ["off", "on"]
+        assert models[0].getModelPresolveStatus() != _highs_core().HighsPresolveStatus.kNotPresolved
         assert abs(solution.value - -0.47292884098749355) <= 1e-9
         assert solution.residual <= 1e-9
 

@@ -197,13 +197,12 @@ class TestSolveExact:
 
     @settings(max_examples=50, deadline=None)
     @given(skew_strategy)
-    # The cold run and the presolve rerun fall short of SADDLE_TOL (a gap of
+    # The cold run and the presolved run fall short of SADDLE_TOL (a gap of
     # 1.8e-9); the shifted game certifies it.
     @example(skew_game(56, 2.826171875, 178, False))
-    # Entries of 1e-10 beside O(1) ones.  The cold run and the presolve
-    # rerun of the 8 x 8 game end at "Unknown", and the shifted game
-    # solves; the cold run of the 9 x 9 game ends at "Unknown", and the
-    # presolve rerun solves it.
+    # Entries of 1e-10 beside O(1) ones.  The cold run of either game ends
+    # at "Unknown", and the presolved run, which presolve reduces to empty,
+    # solves it.
     @example(bordered_skew([[4, 0, 0, 0], [1e-10] * 5, [0] + [1] * 5, [6, 0, S, 6, 6, 6, 6]]))
     @example(bordered_skew([[9, 0, 0, 0], [0, 2, 0, 2, 2], [1e-10] * 6, [0] + [1] * 6, [6, 0, S, 6, 6, 6, 6, 6]]))
     def test_skew_symmetric_games_share_one_strategy(self, entries):
@@ -266,12 +265,15 @@ class TestGrowingGame:
 
         methods = (
             "setOptionValue", "passModel", "run", "getModelStatus", "modelStatusToString", "getSolution",
+            "setBasis", "clearSolver",
         )
         for method in methods:
             assert callable(getattr(_core._Highs, method, None)), method
         names = (
             "MatrixFormat.kColwise", "ObjSense.kMinimize", "HighsStatus.kError",
             "HighsModelStatus.kOptimal", "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
+            "simplex_constants.SimplexStrategy.kSimplexStrategyPrimal", "HighsBasis",
+            "HighsBasisStatus.kBasic", "HighsBasisStatus.kLower", "HighsBasisStatus.kUpper",
         )
         for name in names:
             assert operator.attrgetter(name)(_core) is not None, name
@@ -281,6 +283,7 @@ class TestGrowingGame:
         assert (lp.num_col_, lp.num_row_) == (2, 2)
         assert list(lp.a_matrix_.value_) == [-2.5, 1.0, 1.0]
         assert highs.getOptionValue("simplex_strategy")[1] == 1  # dual simplex
+        assert highs.getOptionValue("presolve")[1] == "off"
         assert highs.getOptionValue("output_flag")[1] is False
         assert highs.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("dual_feasibility_tolerance")[1] == 1e-10
