@@ -39,17 +39,18 @@ _SIM_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class AccuracyFunction:
-    """Monotone hit probability on [0, 1] with value 0 at 0 and 1 at 1."""
+    """Monotone hit probability on [0, 1] with value 0 at 0 and 1 at 1.
+
+    Two laws: ``power``, t ** k, and ``table``, linear between (t, value)
+    points; identity() is the power law at k = 1.
+    """
 
     kind: str
     k: float | None = None
     points: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind == "identity":
-            if self.k is not None or self.points is not None:
-                raise InputError("identity accuracy takes no parameters")
-        elif self.kind == "power":
+        if self.kind == "power":
             if self.k is None:
                 raise InputError("power accuracy needs a finite exponent k > 0")
             exponent = float(_as_float_array(self.k, "power exponent", 0))
@@ -76,9 +77,7 @@ class AccuracyFunction:
             raise InputError("accuracy argument must be numeric") from None
         if not np.all((t >= 0.0) & (t <= 1.0)):
             raise InputError("accuracy argument outside [0, 1]")
-        if self.kind == "identity":
-            out = t
-        elif self.kind == "power":
+        if self.kind == "power":
             out = t**self.k
         else:
             ts = [p[0] for p in self.points]
@@ -88,7 +87,8 @@ class AccuracyFunction:
 
     @classmethod
     def identity(cls) -> "AccuracyFunction":
-        return cls("identity")
+        """Karlin's P(t) = t: the power law at k = 1, as t ** 1.0 returns t unchanged."""
+        return cls.power(1.0)
 
     @classmethod
     def power(cls, k: float) -> "AccuracyFunction":

@@ -357,20 +357,21 @@ class _LP(NamedTuple):
     basic: np.ndarray | None = None
 
 
-def _load_lp(lp: _LP, name: str):
-    """A fresh HiGHS model holding ``lp``, with the options every solve uses.
+def _load_lp(lp: _LP, name: str) -> tuple:
+    """A fresh HiGHS model holding ``lp``, with the options every solve uses, and its start basis.
 
     HiGHS drops matrix entries up to ``small_matrix_value``, 1e-9 by
     default, which leaves a game of such entries short of the saddle
     contract, so the model keeps every entry above 1e-12, the least HiGHS
     accepts.  An LP without a start basis is solved by the dual simplex
-    from the slack basis.  One with a start basis gets it through setBasis,
-    each nonbasic column and row at its lower bound where that is finite
-    and at its upper bound otherwise, and is solved by the primal simplex,
-    which keeps a feasible start feasible.  The basis is passed as not
-    alien, so setBasis only counts its basics and run factors it: an alien
-    basis is factored twice, about 0.15 ms of the 4 ms 2-vs-6 grid-21 duel.
-    HiGHS is driven through
+    from the slack basis, and its basis is None.  One with a start basis
+    gets it through setBasis, each nonbasic column and row at its lower
+    bound where that is finite and at its upper bound otherwise, and is
+    solved by the primal simplex, which keeps a feasible start feasible,
+    with its bound perturbation off (_solve_lp says why).  The basis is
+    passed as not alien, so setBasis only counts its basics and run
+    factors it: an alien basis is factored twice, about 0.15 ms of the
+    4 ms 2-vs-6 grid-21 duel.  HiGHS is driven through
     scipy's private ``_highspy`` binding, which pyproject pins, loaded by
     _highs_core on the first model.
     """
@@ -398,6 +399,7 @@ def _load_lp(lp: _LP, name: str):
     )
     if status == core.HighsStatus.kError:
         raise SolverError(f"HiGHS refused the game's {name}")
+    basis = None
     if lp.basic is not None:
         kinds = core.HighsBasisStatus
         lower = np.isfinite(np.concatenate([lp.col_lower, lp.row_lower]))
@@ -406,11 +408,12 @@ def _load_lp(lp: _LP, name: str):
         basis.col_status, basis.row_status = statuses[:num_col], statuses[num_col:]
         basis.alien = False
         highs.setBasis(basis)
-    return highs
+        highs.setOptionValue("primal_simplex_bound_perturbation_multiplier", 0.0)
+    return highs, basis
 
 
-def _solve_lp(highs, certify: Callable[[np.ndarray, np.ndarray], tuple], name: str) -> tuple:
-    """``certify(x, duals)`` of the first run of a _load_lp model that it accepts.
+def _solve_lp(model: tuple, certify: Callable[[np.ndarray, np.ndarray], tuple], name: str) -> tuple:
+    """``certify(x, duals)`` of the first run of a _load_lp model and basis that it accepts.
 
     The one HiGHS driver.  x is the primal and duals the row duals,
     nonpositive on ``<=`` rows; certify ends in _saddle, whose SolverError
@@ -422,15 +425,29 @@ def _solve_lp(highs, certify: Callable[[np.ndarray, np.ndarray], tuple], name: s
        about 35 to 26 ms and the 801-point one from about 1.5 to 1.35 s
        (2 vCPUs), with the same iterations and bit-identical results.
        Entries of about 1e-12 to 1e-9 beside O(1) ones can end it at
-       ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.
-    2. A cold dual-simplex run with presolve.  HiGHS skips presolve on a
-       model that holds a useful basis, as rung 1 leaves behind, so the
-       solver's data is cleared first.
+       ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.  From a start
+       basis, the primal simplex runs unperturbed: HiGHS's bound
+       perturbation stalled it on the duel's start basis, as 1-vs-1
+       identity against power 3 took 25,677 iterations at grid 351 and
+       244 without it.  From the slack basis an unperturbed primal can
+       cycle, so an LP without a start basis never sets the option.
+    2. Only for an LP with a start basis: the same basis, set again on a
+       cleared solver, with HiGHS's default bound perturbation.  Some
+       degenerate duels that the unperturbed run leaves at ``Not Set``
+       certify only here.
+    3. A cold dual-simplex run with presolve.  HiGHS skips presolve on a
+       model that holds a useful basis, as an earlier run leaves behind,
+       so the solver's data is cleared first.
     """
     core = _highs_core()
-    for rung in (1, 2):
-        if rung == 2:
+    highs, basis = model
+    for rung in (1, 3) if basis is None else (1, 2, 3):
+        if rung > 1:
             highs.clearSolver()
+        if rung == 2:
+            highs.setOptionValue("primal_simplex_bound_perturbation_multiplier", 1.0)
+            highs.setBasis(basis)
+        elif rung == 3:
             highs.setOptionValue("simplex_strategy", core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
             highs.setOptionValue("presolve", "on")
         highs.run()
@@ -441,7 +458,7 @@ def _solve_lp(highs, certify: Callable[[np.ndarray, np.ndarray], tuple], name: s
             solution = highs.getSolution()
             return certify(np.array(solution.col_value), np.array(solution.row_dual))
         except SolverError:
-            if rung == 2:
+            if rung == 3:
                 raise
 
 

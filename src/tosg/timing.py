@@ -80,16 +80,15 @@ def build_kernel(a, grid_n: int) -> TimingKernel:
     return TimingKernel(grid=grid, a_upper=np.triu(values))
 
 
-def duel_kernel_fn(x, y):
-    """One-shot symmetric silent duel generator: hit now vs. survive and be hit."""
-    return x - y + x * y
-
-
 def affine_kernel_fn(cx: float, cy: float, cxy: float, c0: float):
     def a(x, y):
         return cx * x + cy * y + cxy * x * y + c0
 
     return a
+
+
+# The one-shot symmetric silent duel's generator x - y + xy: hit now vs. survive and be hit.
+duel_kernel_fn = affine_kernel_fn(1.0, -1.0, 1.0, 0.0)
 
 
 def kernel_fn_from_spec(doc: dict):

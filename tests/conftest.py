@@ -1,5 +1,6 @@
 import numpy as np
 
+from tosg import duel, matrix_game
 from tosg.duel import AccuracyFunction, DuelSpec
 from tosg.timing import TimingKernel, affine_kernel_fn, build_kernel
 
@@ -49,7 +50,9 @@ def random_duel_case(rng: np.random.Generator):
 
 
 class CountingHighs:
-    """A HiGHS model that passes every call through and records the presolve option at each run."""
+    """A HiGHS model that passes every call through and records, at each run, the values of its ``options``."""
+
+    options = ("presolve",)
 
     def __init__(self, highs, runs: list):
         self._highs, self._runs = highs, runs
@@ -58,5 +61,20 @@ class CountingHighs:
         return getattr(self._highs, name)
 
     def run(self):
-        self._runs.append(self._highs.getOptionValue("presolve")[1])
+        values = tuple(self._highs.getOptionValue(option)[1] for option in self.options)
+        self._runs.append(values[0] if len(values) == 1 else values)
         return self._highs.run()
+
+
+def counted_loads(monkeypatch, runs: list, model: type = CountingHighs) -> list:
+    """Wrap every model that solve_exact and solve_duel load in ``model``, recording into ``runs``; the wrapped models."""
+    load, models = matrix_game._load_lp, []
+
+    def counted(*args):
+        highs, basis = load(*args)
+        models.append(model(highs, runs))
+        return models[-1], basis
+
+    for module in (matrix_game, duel):
+        monkeypatch.setattr(module, "_load_lp", counted)
+    return models

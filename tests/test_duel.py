@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import CountingHighs
-import tosg.duel
+from conftest import CountingHighs, counted_loads
 from tosg.duel import (
     AccuracyFunction,
     DuelSpec,
@@ -43,6 +42,12 @@ small_duels = st.tuples(
     st.builds(DuelSpec, st.integers(1, 3), st.integers(1, 3), accuracies, accuracies),
     st.integers(2, 9),
 ).map(lambda case: (case[0], max(case[1], case[0].m, case[0].n)))
+
+
+class LadderHighs(CountingHighs):
+    """Records each run's presolve option and primal bound perturbation: the duel's rung."""
+
+    options = ("presolve", "primal_simplex_bound_perturbation_multiplier")
 
 
 def refusal_peak(solver, spec: DuelSpec, grid_n: int) -> int:
@@ -516,7 +521,7 @@ class TestStartBasis:
         # One basic per row, and the start is primal feasible: HiGHS stops
         # at it with no infeasibility.
         assert lp.basic.sum() == len(lp.row_lower)
-        start = _load_lp(lp, name)
+        start, _ = _load_lp(lp, name)
         start.setOptionValue("simplex_iteration_limit", 0)
         start.run()
         assert start.getInfo().max_primal_infeasibility <= 1e-10
@@ -531,13 +536,38 @@ class TestStartBasis:
         assert np.abs(np.bincount(cols.tail, y, cols.nodes) - supply).max() <= 1e-9
 
     def test_start_basis_saves_simplex_iterations(self):
-        # 2-vs-6 at grid 21 takes 109 iterations from the start basis and
-        # 351 from the slack basis.
-        _, _, lp = duel_lp(DuelSpec(2, 6, IDENT, IDENT), 21)
-        highs = _load_lp(lp, "sequence-form LP")
-        highs.run()
-        assert highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal
-        assert highs.getInfo().simplex_iteration_count <= 150
+        # The first run, unperturbed from the start basis, takes at most 0.6
+        # iterations per LP row; the limit keeps a stall from running on.
+        # 2-vs-6 at grid 21 takes 104 iterations from the start basis, and
+        # 351 from the slack basis.  HiGHS's bound perturbation stalled the
+        # two 1-vs-1 duels: 25,677 iterations at grid 351 of the power-3
+        # duel, and 51,422 at grid 1,601 of the power-2 duel.
+        cases = (
+            (DuelSpec(2, 6, IDENT, IDENT), 21),
+            (DuelSpec(1, 1, IDENT, AccuracyFunction.power(3)), 351),
+            (DuelSpec(1, 1, IDENT, AccuracyFunction.power(2)), 1301),
+        )
+        for spec, grid_n in cases:
+            _, _, lp = duel_lp(spec, grid_n)
+            budget = int(0.6 * len(lp.row_lower))
+            highs, _ = _load_lp(lp, "sequence-form LP")
+            assert highs.getOptionValue("primal_simplex_bound_perturbation_multiplier")[1] == 0.0
+            highs.setOptionValue("simplex_iteration_limit", budget)
+            highs.run()
+            assert highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal, (spec, grid_n)
+            assert highs.getInfo().simplex_iteration_count <= budget
+
+    def test_perturbed_run_certifies_what_the_unperturbed_run_leaves(self, monkeypatch):
+        # The unperturbed run from the start basis ends at "Not Set" here, and
+        # so does the presolved dual run; the perturbed run from the same
+        # basis certifies.
+        runs = []
+        counted_loads(monkeypatch, runs, LadderHighs)
+        spec = DuelSpec(4, 4, AccuracyFunction.power(20), SURE_EARLY)
+        solution = solve_duel(spec, 101)
+        assert runs == [("off", 0.0), ("off", 1.0)]
+        assert solution.value == pytest.approx(-0.9999999805153879, abs=1e-9)
+        assert solution.residual <= 1e-9
 
 
 class TestSolveDuel:
@@ -602,10 +632,10 @@ class TestSolveDuel:
     @pytest.mark.parametrize(
         "grid_n,value",
         [
-            (21, -0.47292884098749455),
-            (41, -0.49231379157905114),
-            (81, -0.4936401803344772),
-            (101, -0.4936702320190801),
+            (21, -0.47292884098749505),
+            (41, -0.49231379157904986),
+            (81, -0.49364018033447704),
+            (101, -0.4936702320190783),
         ],
     )
     def test_two_versus_six_value_bits(self, grid_n, value):
@@ -635,40 +665,34 @@ class TestSolveDuel:
         assert refusal_peak(solve_duel, spec, grid_n) < 1 << 20
 
     def test_failed_runs_climb_the_ladder_and_raise(self, monkeypatch):
-        # Every run ends short of optimal: the run from the start basis, then
-        # the presolved run, and then SolverError.
+        # Every run ends short of optimal: the unperturbed run from the start
+        # basis, the perturbed one, the presolved run, and then SolverError.
         runs = []
-        load = tosg.duel._load_lp
 
-        class FailingHighs(CountingHighs):
+        class FailingHighs(LadderHighs):
             def getModelStatus(self):
                 return _highs_core().HighsModelStatus.kNotset
 
-        monkeypatch.setattr(tosg.duel, "_load_lp", lambda *args: FailingHighs(load(*args), runs))
+        counted_loads(monkeypatch, runs, FailingHighs)
         with pytest.raises(SolverError, match="sequence-form LP failed: Not Set"):
             solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
-        assert runs == ["off", "on"]
+        assert runs == [("off", 0.0), ("off", 1.0), ("on", 1.0)]
 
     def test_failed_certificate_is_solved_again_with_presolve(self, monkeypatch):
-        # A run from the start basis whose strategies fall short of
-        # SADDLE_TOL moves down to the presolve run, which is certified
-        # afresh.  Rung 1 leaves a basis behind, so presolve runs only
-        # because _solve_lp clears it.
-        runs, models = [], []
-        load = tosg.duel._load_lp
+        # Runs from the start basis whose strategies fall short of SADDLE_TOL
+        # move down to the presolve run, which is certified afresh.  They
+        # leave a basis behind, so presolve runs only because _solve_lp
+        # clears it.
+        runs = []
         best_gain = _FlowGraph.best_gain
 
-        def short_first(*args):
-            return best_gain(*args) + (1.0 if len(runs) == 1 else 0.0)
+        def short_until_presolve(*args):
+            return best_gain(*args) + (1.0 if len(runs) < 3 else 0.0)
 
-        def counted(*args):
-            models.append(CountingHighs(load(*args), runs))
-            return models[-1]
-
-        monkeypatch.setattr(tosg.duel, "_load_lp", counted)
-        monkeypatch.setattr(_FlowGraph, "best_gain", short_first)
+        models = counted_loads(monkeypatch, runs, LadderHighs)
+        monkeypatch.setattr(_FlowGraph, "best_gain", short_until_presolve)
         solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
-        assert runs == ["off", "on"]
+        assert runs == [("off", 0.0), ("off", 1.0), ("on", 1.0)]
         assert models[0].getModelPresolveStatus() != _highs_core().HighsPresolveStatus.kNotPresolved
         assert abs(solution.value - -0.47292884098749355) <= 1e-9
         assert solution.residual <= 1e-9

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csc_array
 
-from conftest import CountingHighs
+from conftest import CountingHighs, counted_loads
 from tosg import duel, matrix_game, timing
 from tosg.errors import InputError, SolverError
 from tosg.matrix_game import (
@@ -244,12 +244,6 @@ def highs_calls(path: str) -> set[str]:
     }
 
 
-def counted_loads(monkeypatch, runs: list) -> None:
-    """Make every model that solve_exact loads record its runs' presolve option in ``runs``."""
-    load = matrix_game._load_lp
-    monkeypatch.setattr(matrix_game, "_load_lp", lambda *args: CountingHighs(load(*args), runs))
-
-
 class TestGrowingGame:
     def test_private_highs_api_is_present(self):
         # _load_lp and _solve_lp drive scipy's private HiGHS binding, which
@@ -278,7 +272,8 @@ class TestGrowingGame:
         for name in names:
             assert operator.attrgetter(name)(_core) is not None, name
         # _load_lp passes the arrays through passModel's array overload.
-        highs = _load_lp(_row_lp(np.array([[2.5]])), "row LP")
+        highs, basis = _load_lp(_row_lp(np.array([[2.5]])), "row LP")
+        assert basis is None
         lp = highs.getLp()
         assert (lp.num_col_, lp.num_row_) == (2, 2)
         assert list(lp.a_matrix_.value_) == [-2.5, 1.0, 1.0]
@@ -288,6 +283,8 @@ class TestGrowingGame:
         assert highs.getOptionValue("primal_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("dual_feasibility_tolerance")[1] == 1e-10
         assert highs.getOptionValue("small_matrix_value")[1] == 1e-12
+        # HiGHS's default: an LP without a start basis never sets it.
+        assert highs.getOptionValue("primal_simplex_bound_perturbation_multiplier")[1] == 1.0
         # The pinned methods are exactly those the driver calls, and only
         # the driver calls HiGHS.
         assert highs_calls(inspect.getsourcefile(matrix_game)) == set(methods)
@@ -311,13 +308,12 @@ class TestGrowingGame:
         # Every run ends short of optimal: the cold run and the presolve
         # rerun of the game, then of the shifted game, and then SolverError.
         runs = []
-        load = matrix_game._load_lp
 
         class FailingHighs(CountingHighs):
             def getModelStatus(self):
                 return _highs_core().HighsModelStatus.kNotset
 
-        monkeypatch.setattr(matrix_game, "_load_lp", lambda *args: FailingHighs(load(*args), runs))
+        counted_loads(monkeypatch, runs, FailingHighs)
         with pytest.raises(SolverError, match="row LP failed: Not Set"):
             solve_exact(PayoffMatrix(MATCHING_PENNIES))
         assert runs == ["off", "on", "off", "on"]
@@ -339,7 +335,7 @@ class TestGrowingGame:
         # either layout: two of 1.4e-17 in the 201-point kernel.
         reference.data[np.abs(reference.data) <= 1e-12] = 0.0
         reference.eliminate_zeros()
-        lp = _load_lp(_row_lp(a), "row LP").getLp()
+        lp = _load_lp(_row_lp(a), "row LP")[0].getLp()
         assert (lp.num_col_, lp.num_row_) == (m + 1, n + 1)
         assert np.array_equal(lp.a_matrix_.start_, reference.indptr)
         assert np.array_equal(lp.a_matrix_.index_, reference.indices)
