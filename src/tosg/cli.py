@@ -46,71 +46,54 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(result, output: str | None) -> None:
-    _emit(_json_text(result), output)
-
-
-def _density_csv(grid: np.ndarray, weights: np.ndarray) -> str:
+def _density_csv(weights: np.ndarray) -> str:
+    """One (t, weight, cdf) line per point of the uniform grid on [0, 1] that ``weights`` lie on."""
     lines = ["t,weight,cdf"]
-    cdf = np.cumsum(weights)
-    for t, w, c in zip(grid, weights, cdf):
+    grid = np.linspace(0.0, 1.0, len(weights))
+    for t, w, c in zip(grid, weights, np.cumsum(weights)):
         lines.append(f"{float(t)!r},{float(w)!r},{float(c)!r}")
     return "\n".join(lines) + "\n"
 
 
-def _cmd_solve_matrix(args) -> None:
+# Each handler returns its result, and main writes it.  Handlers look the
+# solvers up in this module's globals when they run, where a tracer can
+# replace them.
+def _cmd_solve_matrix(args):
     game = PayoffMatrix.from_dict(_read_document(args.input))
     if args.method == "exact":
-        solution = solve_exact(game)
-    else:
-        solution = solve_fictitious_play(game, max_iterations=args.iterations)
-    _emit_json(solution, args.output)
+        return solve_exact(game)
+    return solve_fictitious_play(game, max_iterations=args.iterations)
 
 
-def _cmd_solve_duel(args) -> None:
-    spec = DuelSpec.from_dict(_read_document(args.input))
-    solution = solve_duel(spec, grid_n=args.grid)
-    if args.format == "csv":
-        grid = np.linspace(0.0, 1.0, solution.grid_n)
-        _emit(_density_csv(grid, solution.p1_density.weights), args.output)
-    else:
-        _emit_json(solution, args.output)
+def _cmd_solve_duel(args):
+    return solve_duel(DuelSpec.from_dict(_read_document(args.input)), grid_n=args.grid)
 
 
-def _cmd_simulate_duel(args) -> None:
+def _cmd_simulate_duel(args):
     doc = _read_document(args.input)
     spec = DuelSpec.from_dict(doc)
     x, y = (_field(doc, key, "simulate-duel input") for key in ("x", "y"))
     estimate, stderr = simulate_duel(spec, x, y, trials=args.iterations, seed=args.seed)
-    _emit_json(
-        {"estimate": estimate, "stderr": stderr, "trials": args.iterations, "seed": args.seed},
-        args.output,
-    )
+    return {"estimate": estimate, "stderr": stderr, "trials": args.iterations, "seed": args.seed}
 
 
-def _cmd_eval_tree(args) -> None:
+def _cmd_eval_tree(args):
     doc = _read_document(args.input)
     try:
-        value = evaluate_tree(GameTree.from_dict(doc))
+        return {"value": evaluate_tree(GameTree.from_dict(doc))}
     except RecursionError:  # a tree just shallow enough for json.load
         raise InputError("game tree nests too deeply to evaluate") from None
-    _emit_json({"value": value}, args.output)
 
 
-def _cmd_solve_evasion(args) -> None:
-    _emit_json(solve_evasion_game(), args.output)
+def _cmd_solve_evasion(args):
+    return solve_evasion_game()
 
 
-def _cmd_solve_timing(args) -> None:
-    kernel = kernel_from_spec(_read_document(args.input))
-    solution = solve_timing(kernel)
-    if args.format == "csv":
-        _emit(_density_csv(kernel.grid, solution.strategy.weights), args.output)
-    else:
-        _emit_json(solution, args.output)
+def _cmd_solve_timing(args):
+    return solve_timing(kernel_from_spec(_read_document(args.input)))
 
 
-def _cmd_risk(args) -> None:
+def _cmd_risk(args):
     doc = _read_document(args.input)
     if not isinstance(doc, dict) or not ({"economic", "mitigating"} & set(doc)):
         raise InputError("risk input needs an 'economic' or 'mitigating' section")
@@ -119,22 +102,15 @@ def _cmd_risk(args) -> None:
         out["economic"] = risk_economic(EconomicRiskParams.from_dict(doc["economic"]))
     if "mitigating" in doc:
         out["mitigating"] = risk_mitigating(MitigatingRiskParams.from_dict(doc["mitigating"]))
-    _emit_json(out, args.output)
+    return out
 
 
-def _cmd_solve_tosg(args) -> None:
-    problem = TosgProblem.from_dict(_read_document(args.input))
-    _emit_json(solve_tosg(problem), args.output)
+def _cmd_solve_tosg(args):
+    return solve_tosg(TosgProblem.from_dict(_read_document(args.input)))
 
 
-def _cmd_run_protocol(args) -> None:
-    config = ProtocolConfig.from_dict(_read_document(args.input))
-    report = run_protocol(config)
-    if args.format == "csv":
-        grid = np.linspace(0.0, 1.0, config.grid_n)
-        _emit(_density_csv(grid, report.timing.strategy.weights), args.output)
-    else:
-        _emit_json(report, args.output)
+def _cmd_run_protocol(args):
+    return run_protocol(ProtocolConfig.from_dict(_read_document(args.input)))
 
 
 @functools.cache
@@ -155,12 +131,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, input_file=True, fmt=False):
+    def common(p, *, input_file=True, density=None):
+        # density, if given, maps the result to the weights --format csv writes.
         if input_file:
             p.add_argument("input", help="path to the JSON input document")
         p.add_argument("--output", help="write the result here instead of stdout")
-        if fmt:
+        if density:
             p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.set_defaults(density=density)
 
     p = sub.add_parser("solve-matrix", help="solve a payoff matrix")
     common(p)
@@ -169,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve_matrix)
 
     p = sub.add_parser("solve-duel", help="solve a discretized silent duel")
-    common(p, fmt=True)
+    common(p, density=lambda solution: solution.p1_density.weights)
     p.add_argument("--grid", type=int, default=101, help="uniform grid size on [0, 1]")
     p.set_defaults(handler=_cmd_solve_duel)
 
@@ -188,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve_evasion)
 
     p = sub.add_parser("solve-timing", help="solve a game of timing")
-    common(p, fmt=True)
+    common(p, density=lambda solution: solution.strategy.weights)
     p.set_defaults(handler=_cmd_solve_timing)
 
     p = sub.add_parser("risk", help="evaluate risk scores")
@@ -200,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve_tosg)
 
     p = sub.add_parser("run-protocol", help="run the full decision pipeline")
-    common(p, fmt=True)
+    common(p, density=lambda report: report.timing.strategy.weights)
     p.set_defaults(handler=_cmd_run_protocol)
 
     return parser
@@ -214,7 +192,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        args.handler(args)
+        result = args.handler(args)
+        csv = getattr(args, "format", "json") == "csv"
+        _emit(_density_csv(args.density(result)) if csv else _json_text(result), args.output)
     except (TosgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.__cause__ if isinstance(exc, StageError) else exc

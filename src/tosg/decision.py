@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateProblemError, InputError, SolverError
-from .matrix_game import _as_float_array, _as_int, _field
+from .matrix_game import _as_float_array, _as_int, _as_real, _field
 from .risk import MitigatingRiskParams, risk_mitigating
 
 # solve_tosg's Newton iteration: both KKT residuals within _KKT_TOL in at most _MAX_STEPS.
@@ -74,7 +74,7 @@ class AffineObjective:
 
     def __post_init__(self):
         object.__setattr__(self, "lin", _as_float_array(self.lin, "affine coefficients", 1))
-        object.__setattr__(self, "offset", float(_as_float_array(self.offset, "affine offset", 0)))
+        object.__setattr__(self, "offset", _as_real(self.offset, "affine offset"))
 
     @property
     def dimension(self) -> int:
@@ -100,6 +100,7 @@ class CoordinateConstraint:
     index: int
 
     def __post_init__(self):
+        object.__setattr__(self, "index", _as_int(self.index, "coordinate index"))
         if self.index < 0:
             raise InputError("coordinate index must be nonnegative")
 
@@ -127,7 +128,7 @@ class AffineConstraint:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_float_array(self.a, "constraint coefficients", 1))
-        object.__setattr__(self, "b", float(_as_float_array(self.b, "constraint offset", 0)))
+        object.__setattr__(self, "b", _as_real(self.b, "constraint offset"))
 
     def value(self, d: np.ndarray) -> float:
         return float(self.a @ d) + self.b
@@ -156,8 +157,7 @@ def objective_from_dict(doc: dict):
 def constraint_from_dict(doc: dict):
     kind = _field(doc, "kind", "constraint document")
     if kind == "coord":
-        index = _field(doc, "index", "coordinate constraint document")
-        return CoordinateConstraint(index=_as_int(index, "coordinate index"))
+        return CoordinateConstraint(index=_field(doc, "index", "coordinate constraint document"))
     if kind == "affine":
         a = _field(doc, "a", "affine constraint document")
         return AffineConstraint(a=a, b=doc.get("b", 0.0))
@@ -174,6 +174,7 @@ class TosgProblem:
     dimension: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _as_int(self.dimension, "dimension"))
         if self.dimension < 3:
             raise InputError("decision dimension must be at least 3")
         constraints = tuple(self.constraints)
@@ -199,13 +200,7 @@ class TosgProblem:
         objective = objective_from_dict(_field(doc, "objective", what))
         constraints = tuple(constraint_from_dict(c) for c in _field(doc, "constraints", what, list))
         targets = _field(doc, "targets", what)
-        dimension = doc.get("dimension", objective.dimension)
-        return cls(
-            objective=objective,
-            constraints=constraints,
-            targets=targets,
-            dimension=_as_int(dimension, "dimension"),
-        )
+        return cls(objective, constraints, targets, doc.get("dimension", objective.dimension))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from .matrix_game import (
     PayoffMatrix,
     _as_float_array,
     _as_int,
+    _as_real,
     _field,
     _LP,
     _load_lp,
@@ -53,7 +54,7 @@ class AccuracyFunction:
         if self.kind == "power":
             if self.k is None:
                 raise InputError("power accuracy needs a finite exponent k > 0")
-            exponent = float(_as_float_array(self.k, "power exponent", 0))
+            exponent = _as_real(self.k, "power exponent")
             if exponent <= 0:
                 raise InputError("power accuracy needs a finite exponent k > 0")
             object.__setattr__(self, "k", exponent)
@@ -120,14 +121,15 @@ class DuelSpec:
     q: AccuracyFunction
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _as_int(self.m, "m"))
+        object.__setattr__(self, "n", _as_int(self.n, "n"))
         if self.m < 1 or self.n < 1:
             raise InputError("both players need at least one attempt")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DuelSpec":
         what = "duel document"
-        m = _as_int(_field(doc, "m", what), "m")
-        n = _as_int(_field(doc, "n", what), "n")
+        m, n = _field(doc, "m", what), _field(doc, "n", what)
         p = AccuracyFunction.from_dict(_field(doc, "p", what))
         q = AccuracyFunction.from_dict(_field(doc, "q", what))
         tie_rule = doc.get("tie_rule", TIE_RULE)
@@ -245,6 +247,7 @@ def simulate_duel(spec: DuelSpec, x, y, trials: int, seed: int) -> tuple[float, 
     and a chunk stops once none of its trials is alive; neither changes an
     estimate, since every trial still reads the same draws.
     """
+    trials, seed = _as_int(trials, "trials"), _as_int(seed, "seed")
     if trials < 1:
         raise InputError("trials must be at least 1")
     if seed < 0:
@@ -290,11 +293,14 @@ def _strategy_subsets(grid_n: int, shots: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(grid_n), shots)), dtype=int)
 
 
-def _check_grid(spec: DuelSpec, grid_n: int) -> None:
+def _check_grid(spec: DuelSpec, grid_n: int) -> int:
+    """grid_n as an int, once it can host both players' shots."""
+    grid_n = _as_int(grid_n, "grid_n")
     if grid_n < 2:
         raise InputError("grid needs at least 2 points")
     if grid_n < max(spec.m, spec.n):
         raise InputError(f"grid of {grid_n} points cannot host {max(spec.m, spec.n)} distinct shots")
+    return grid_n
 
 
 def _hits(spec: DuelSpec, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -328,7 +334,7 @@ def discretize_duel(spec: DuelSpec, grid_n: int) -> PayoffMatrix:
 
     which factors into two small matrix products over the grid axis.
     """
-    _check_grid(spec, grid_n)
+    grid_n = _check_grid(spec, grid_n)
     guard_cells(
         math.comb(grid_n, spec.m) * math.comb(grid_n, spec.n),
         f"the full {spec.m}-vs-{spec.n} duel matrix on {grid_n} grid points",
@@ -513,7 +519,7 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
     guarantees more.  guard_cells bounds the LP's nonzeros, and so every
     array, first.
     """
-    _check_grid(spec, grid_n)
+    grid_n = _check_grid(spec, grid_n)
     m, n = spec.m, spec.n
     # Per layer: m or 2m + 1 row-edge entries in each column edge's row, two
     # potentials per column edge, and two conservation entries per row edge.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matrix_game import MASS_TOL, MixedStrategy, _as_float_array, _field
+from .matrix_game import MASS_TOL, MixedStrategy, _as_float_array, _as_real, _field
 
 _NODE_KINDS = ("leaf", "max", "min", "chance")
 
@@ -35,7 +35,7 @@ class GameTree:
         if self.kind == "leaf":
             if self.payoff is None:
                 raise InputError("leaf node needs a finite payoff")
-            payoff = float(_as_float_array(self.payoff, "leaf payoff", 0))
+            payoff = _as_real(self.payoff, "leaf payoff")
             if self.children or self.probs is not None:
                 raise InputError("leaf node cannot have children")
             object.__setattr__(self, "payoff", payoff)
@@ -110,13 +110,6 @@ class EvasionSolution:
     reach_probs: tuple[float, float, float]
 
 
-def _check_unit(x: float) -> float:
-    x = float(x)
-    if not np.isfinite(x) or x < 0.0 or x > 1.0:
-        raise InputError("move parameter must lie in [0, 1]")
-    return x
-
-
 def evader_reach_probs(x: float) -> tuple[float, float, float]:
     """Probabilities ((1-x)^2, x, x(1-x)) of reaching the three positions.
 
@@ -125,7 +118,7 @@ def evader_reach_probs(x: float) -> tuple[float, float, float]:
     p1 + p2 past 1, p1 is shaved by one ulp instead of letting p3 go
     negative.  Sterbenz's lemma (p1 + p2 >= 3/4) makes 1 - (p1 + p2) exact.
     """
-    x = _check_unit(x)
+    x = _as_real(x, "move parameter", 0.0, 1.0)
     p1 = (1.0 - x) * (1.0 - x)
     p2 = x
     partial = p1 + p2

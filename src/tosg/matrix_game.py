@@ -8,7 +8,6 @@ computed from the returned strategies, never from solver-internal objectives.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import importlib.machinery
 import importlib.util
@@ -83,6 +82,14 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InputError(f"{name} contains non-finite entries")
     return arr
+
+
+def _as_real(value, name: str, lo: float = -np.inf, hi: float = np.inf) -> float:
+    """A finite real number in [lo, hi]: the one reader of every real scalar."""
+    value = float(_as_float_array(value, name, 0))
+    if not lo <= value <= hi:
+        raise InputError(f"{name} must lie in [{lo:g}, {hi:g}]")
+    return value
 
 
 def _as_int(value, name: str) -> int:
@@ -499,8 +506,17 @@ def _overtaken_at(x: np.ndarray, slope: np.ndarray, lead: int, cap: int) -> int:
 
 
 def _first(lo: int, hi: int, holds) -> int:
-    """The least s in [lo, hi) where holds(s), else hi; holds(s) stays true once it is true."""
-    return lo + bisect.bisect_left(range(lo, hi), True, key=holds)
+    """The least s in [lo, hi) where holds(s), else hi; holds(s) stays true once it is true.
+
+    Plain integer bisection, so hi may pass sys.maxsize, which a range cannot.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 # Overflow surfaces as a non-finite payoff sum or bracket, which raises SolverError.
@@ -525,6 +541,7 @@ def solve_fictitious_play(game: PayoffMatrix, max_iterations: int) -> GameSoluti
     (integer payoffs whose sums stay below 2**53), the result equals that of
     stepping one iteration at a time bit for bit.
     """
+    max_iterations = _as_int(max_iterations, "max_iterations")
     if max_iterations < 1:
         raise InputError("max_iterations must be at least 1")
     a = game.entries

@@ -28,7 +28,7 @@ from .decision import (
     tosg_value,
 )
 from .errors import InputError, SolverError, StageError
-from .matrix_game import _as_float_array, _as_int, _document, _field, _json_text, _time_table
+from .matrix_game import _as_float_array, _as_int, _as_real, _document, _field, _json_text, _time_table
 from .risk import MitigatingRiskParams, risk_mitigating
 from .timing import (
     TimingKernel,
@@ -49,9 +49,7 @@ def imbed_objective(kernel: TimingKernel, g, weight: float) -> TimingKernel:
     skew-symmetric; weight 0 or a constant score leaves the kernel
     unchanged.  A shift that overflows float64 raises SolverError.
     """
-    weight = float(_as_float_array(weight, "imbedding weight", 0))
-    if weight < 0.0:
-        raise InputError("imbedding weight must be nonnegative")
+    weight = _as_real(weight, "imbedding weight", 0.0)
     scores = _as_float_array(g, "score values", 1)
     if scores.shape != kernel.grid.shape:
         raise InputError("score values must match the kernel grid")
@@ -84,8 +82,10 @@ class ProtocolConfig:
             raise InputError(f"risks must have exactly the keys {CONSTRAINT_KEYS}")
         object.__setattr__(self, "baselines", finite_triple(self.baselines, "baselines"))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if not np.isfinite(self.imbed_weight) or self.imbed_weight < 0.0:
-            raise InputError("imbedding weight must be finite and nonnegative")
+        object.__setattr__(self, "dimension", _as_int(self.dimension, "dimension"))
+        object.__setattr__(self, "imbed_weight", _as_real(self.imbed_weight, "lambda", 0.0))
+        object.__setattr__(self, "grid_n", _as_int(self.grid_n, "grid_n"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.grid_n < 3:
             raise InputError("grid_n must be at least 3")
         score = {"kind": "decision_path"} if self.score is None else self.score
@@ -102,7 +102,6 @@ class ProtocolConfig:
         what = "protocol config"
         risks = _field(doc, "risks", what, dict)
         objective = objective_from_dict(_field(doc, "objective", what))
-        dimension = doc.get("dimension", objective.dimension)
         return cls(
             risks={
                 key: MitigatingRiskParams.from_dict(_field(risks, key, "risks"))
@@ -113,11 +112,11 @@ class ProtocolConfig:
             constraints=tuple(
                 constraint_from_dict(c) for c in _field(doc, "constraints", what, list)
             ),
-            dimension=_as_int(dimension, "dimension"),
+            dimension=doc.get("dimension", objective.dimension),
             kernel_a=_field(doc, "kernel", what),
-            imbed_weight=float(_as_float_array(_field(doc, "lambda", what), "lambda", 0)),
-            grid_n=_as_int(_field(doc, "grid_n", what), "grid_n"),
-            seed=_as_int(_field(doc, "seed", what), "seed"),
+            imbed_weight=_field(doc, "lambda", what),
+            grid_n=_field(doc, "grid_n", what),
+            seed=_field(doc, "seed", what),
             score=doc.get("score"),
         )
 

@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import InputError
-from .matrix_game import _as_float_array, _field
-
-
-def _check_scalar(value, name: str, upper: float = math.inf) -> float:
-    """A finite number in [0, upper]; upper = 1 for probabilities."""
-    value = float(_as_float_array(value, name, 0))
-    if not 0.0 <= value <= upper:
-        raise InputError(f"{name} must lie in [0, {upper:g}]")
-    return value
+from .matrix_game import _as_real, _field
 
 
 @dataclass(frozen=True)
@@ -26,9 +16,9 @@ class EconomicRiskParams:
     cost: float
 
     def __post_init__(self):
-        object.__setattr__(self, "threat_rate", _check_scalar(self.threat_rate, "threat_rate"))
-        object.__setattr__(self, "vulnerability", _check_scalar(self.vulnerability, "vulnerability", 1.0))
-        object.__setattr__(self, "cost", _check_scalar(self.cost, "cost"))
+        object.__setattr__(self, "threat_rate", _as_real(self.threat_rate, "threat_rate", 0.0))
+        object.__setattr__(self, "vulnerability", _as_real(self.vulnerability, "vulnerability", 0.0, 1.0))
+        object.__setattr__(self, "cost", _as_real(self.cost, "cost", 0.0))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EconomicRiskParams":
@@ -50,10 +40,10 @@ class MitigatingRiskParams:
     pa: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "pa", _check_scalar(self.pa, "pa", 1.0))
-        object.__setattr__(self, "pi", _check_scalar(self.pi, "pi", 1.0))
-        object.__setattr__(self, "pn", _check_scalar(self.pn, "pn", 1.0))
-        object.__setattr__(self, "ce", _check_scalar(self.ce, "ce"))
+        object.__setattr__(self, "pa", _as_real(self.pa, "pa", 0.0, 1.0))
+        object.__setattr__(self, "pi", _as_real(self.pi, "pi", 0.0, 1.0))
+        object.__setattr__(self, "pn", _as_real(self.pn, "pn", 0.0, 1.0))
+        object.__setattr__(self, "ce", _as_real(self.ce, "ce", 0.0))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MitigatingRiskParams":

@@ -20,6 +20,7 @@ from .matrix_game import (
     PayoffMatrix,
     _as_float_array,
     _as_int,
+    _as_real,
     _field,
     guard_cells,
     solve_exact,
@@ -68,6 +69,7 @@ def build_kernel(a, grid_n: int) -> TimingKernel:
     kept, so A need only be defined there.  The arrays are bounded by the
     size cap (guard_cells), checked before any allocation.
     """
+    grid_n = _as_int(grid_n, "grid_n")
     if grid_n < 3:
         raise InputError("grid_n must be at least 3")
     guard_cells(grid_n * grid_n, f"a {grid_n}-point timing kernel")
@@ -96,10 +98,8 @@ def kernel_fn_from_spec(doc: dict):
     if kind == "duel":
         return duel_kernel_fn
     if kind == "affine":
-        cx, cy, cxy, c0 = (
-            float(_as_float_array(_field(doc, key, "affine kernel document"), key, 0))
-            for key in ("cx", "cy", "cxy", "c0")
-        )
+        what = "affine kernel document"
+        cx, cy, cxy, c0 = (_as_real(_field(doc, key, what), key) for key in ("cx", "cy", "cxy", "c0"))
         return affine_kernel_fn(cx, cy, cxy, c0)
     raise InputError(f"unknown kernel kind {kind!r}")
 
@@ -107,7 +107,7 @@ def kernel_fn_from_spec(doc: dict):
 def kernel_from_spec(doc: dict) -> TimingKernel:
     """Build a kernel from `{"A": {...}, "grid_n": n}`."""
     a = kernel_fn_from_spec(_field(doc, "A", "kernel document"))
-    return build_kernel(a, _as_int(_field(doc, "grid_n", "kernel document"), "grid_n"))
+    return build_kernel(a, _field(doc, "grid_n", "kernel document"))
 
 
 @dataclass(frozen=True)

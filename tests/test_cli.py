@@ -165,6 +165,14 @@ class TestSolveMatrix:
         assert out == ""
         assert err == "error: fictitious play payoff sums overflow at iteration 2\n"
 
+    @pytest.mark.parametrize("entries", [[[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]]])
+    def test_fictitious_play_budget_past_sys_maxsize(self, tmp_path, capsys, entries):
+        # A budget past sys.maxsize prints what the largest C-sized one does.
+        path = write(tmp_path, "game.json", {"entries": entries})
+        huge = run(capsys, "solve-matrix", path, "--method", "fictitious-play", "--iterations", str(10**21))
+        assert huge == run(capsys, "solve-matrix", path, "--method", "fictitious-play", "--iterations", str(2**63 - 1))
+        assert huge[0] == 0
+
 
 class TestSimulateDuel:
     def test_deterministic_across_runs(self, tmp_path, capsys):

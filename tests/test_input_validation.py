@@ -2,16 +2,25 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tosg.decision import TosgProblem, constraint_from_dict, objective_from_dict, tosg_value
-from tosg.duel import AccuracyFunction, DuelSpec, TimeVector
+from tosg.decision import (
+    AffineObjective,
+    CoordinateConstraint,
+    TosgProblem,
+    constraint_from_dict,
+    objective_from_dict,
+    solve_tosg,
+    tosg_value,
+)
+from tosg.duel import AccuracyFunction, DuelSpec, TimeVector, simulate_duel, solve_duel
 from tosg.errors import InputError
-from tosg.game_tree import GameTree
-from tosg.matrix_game import MixedStrategy, PayoffMatrix
+from tosg.game_tree import GameTree, evader_reach_probs
+from tosg.matrix_game import MixedStrategy, PayoffMatrix, solve_fictitious_play
 from tosg.pipeline import ProtocolConfig, imbed_objective
 from tosg.risk import MitigatingRiskParams
 from tosg.timing import TimingKernel, build_kernel, duel_kernel_fn, kernel_from_spec
@@ -26,6 +35,11 @@ TOSG = {
     "constraints": [{"kind": "coord", "index": i} for i in range(3)],
     "targets": [0.0, 0.0, 0.0],
 }
+IDENTITY = AccuracyFunction.identity()
+
+
+def coordinate_problem(*indices) -> TosgProblem:
+    return TosgProblem(AffineObjective([1.0, 1.0, 1.0]), tuple(map(CoordinateConstraint, indices)), (0.0, 0.0, 0.0), 3)
 
 
 @pytest.mark.parametrize(
@@ -92,11 +106,38 @@ TOSG = {
         lambda: imbed_objective(KERNEL, KERNEL.grid, "0.25"),
         lambda: imbed_objective(KERNEL, KERNEL.grid, True),
         lambda: imbed_objective(KERNEL, KERNEL.grid, np.True_),
+        # library constructors check what documents check
+        lambda: CoordinateConstraint(2.5).value(np.zeros(3)),
+        lambda: solve_tosg(coordinate_problem(True, 1, 2)),
+        lambda: build_kernel(duel_kernel_fn, 21.5),
+        lambda: DuelSpec(1.5, 1, IDENTITY, IDENTITY),
+        lambda: simulate_duel(DuelSpec(1, 1, IDENTITY, IDENTITY), [0.5], [0.6], trials=1000.5, seed=1),
+        lambda: simulate_duel(DuelSpec(1, 1, IDENTITY, IDENTITY), [0.5], [0.6], trials=1000, seed=1.5),
+        lambda: solve_fictitious_play(PayoffMatrix([[0.0, 1.0], [1.0, 0.0]]), 10.5),
+        lambda: solve_duel(DuelSpec(1, 1, IDENTITY, IDENTITY), "11"),
+        lambda: evader_reach_probs("0.5"),
+        lambda: evader_reach_probs(True),
+        lambda: replace(ProtocolConfig.from_dict(GOLDEN_CONFIG), imbed_weight="0.25"),
+        lambda: replace(ProtocolConfig.from_dict(GOLDEN_CONFIG), grid_n=21.5),
     ],
 )
 def test_garbage_documents_raise_input_error(build):
     with pytest.raises(InputError):
         build()
+
+
+def test_library_constructors_read_integral_floats_as_documents_do():
+    assert CoordinateConstraint(2.0).value(np.array([0.0, 0.0, 7.0])) == 7.0
+    assert solve_tosg(coordinate_problem(0.0, 1.0, 2.0)).d_star.tolist() == [0.0, 0.0, 0.0]
+    assert solve_tosg(replace(coordinate_problem(0, 1, 2), dimension=3.0)).d_star.tolist() == [0.0, 0.0, 0.0]
+    assert build_kernel(duel_kernel_fn, 21.0).grid_n == 21
+    assert solve_duel(DuelSpec(1.0, 1.0, IDENTITY, IDENTITY), 11.0).grid_n == 11
+    spec = DuelSpec(1, 1, IDENTITY, IDENTITY)
+    assert simulate_duel(spec, [0.5], [0.6], 1000.0, 7.0) == simulate_duel(spec, [0.5], [0.6], 1000, 7)
+    config = ProtocolConfig.from_dict(GOLDEN_CONFIG)
+    integral = replace(config, imbed_weight=1, grid_n=21.0)
+    assert integral.sha256() == replace(config, imbed_weight=1.0, grid_n=21).sha256()
+    assert integral.sha256() == ProtocolConfig.from_dict({**GOLDEN_CONFIG, "lambda": 1, "grid_n": 21.0}).sha256()
 
 
 def test_tosg_value_rejects_garbage_multipliers():

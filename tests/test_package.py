@@ -44,3 +44,24 @@ def test_every_private_name_is_used_in_the_package():
                         unused.append(f"{module}:{name}")
     assert private
     assert unused == []
+
+
+def test_real_scalars_are_read_only_by_as_real():
+    # matrix_game._as_real reads every real scalar, so a field is checked by
+    # one rule: no other function reads a 0-dimensional _as_float_array.
+    readers = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_as_float_array":
+                (ndim,) = [*child.args[2:], *(k.value for k in child.keywords if k.arg == "ndim")]
+                if not (isinstance(ndim, ast.Constant) and ndim.value in (1, 2)):
+                    readers.add(function)
+            visit(child, function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), "<module>")
+    assert readers == {"_as_real"}
