@@ -24,7 +24,6 @@ from .matrix_game import (
     _as_real,
     _field,
     _LP,
-    _load_lp,
     _saddle,
     _solve_lp,
     _time_table,
@@ -534,8 +533,9 @@ def solve_duel(spec: DuelSpec, grid_n: int) -> DuelSolution:
         col_alive, col_fire, p2 = cols.behaviour(np.maximum(-duals[: len(cols.layer)], 0.0))
         return _saddle(p1, p2, -cols.best_gain(row_alive, row_fire), rows.best_gain(col_alive, col_fire), symmetric)
 
-    name = "sequence-form LP"
-    p1, p2, value, residual = _solve_lp(_load_lp(_duel_lp(rows, cols), name), certify, name)
+    # A one-item generator, not a list: _solve_lp holds no layout while HiGHS runs.
+    layouts = (_duel_lp(rows, cols) for _ in range(1))
+    p1, p2, value, residual = _solve_lp(layouts, certify, "sequence-form LP")
     return DuelSolution(
         value=value,
         p1_density=MixedStrategy(p1),

@@ -113,19 +113,20 @@ class EvasionSolution:
 def evader_reach_probs(x: float) -> tuple[float, float, float]:
     """Probabilities ((1-x)^2, x, x(1-x)) of reaching the three positions.
 
-    The third entry is the complement of the first two so that the triple
-    sums to 1.0 exactly in floating point; if rounding ever pushes
-    p1 + p2 past 1, p1 is shaved by one ulp instead of letting p3 go
-    negative.  Sterbenz's lemma (p1 + p2 >= 3/4) makes 1 - (p1 + p2) exact.
+    The third entry is the complement of the first two, so the triple sums
+    to 1.0 exactly in floating point: p1 + p2 >= 3/4, so by Sterbenz's
+    lemma 1 - (p1 + p2) is exact.  And p1 + p2 never rounds past 1, so p3
+    is never negative.  For x >= 1/2, 1 - x is exact and p1 <= 1 - x, as
+    (1-x)^2 <= 1 - x and rounding is monotone.  For x < 1/2, y = 1 - x
+    rounds to 1 - x + e with |e| <= 2**-54 and y >= 1/2, so p1 <= y*y +
+    2**-54 <= 1 - 3x/2 + 3e/2 + 2**-54, and p1 + x <= 1 - x/2 + 2.5 * 2**-54:
+    once x >= 2**-54 that is within the 2**-53 above 1 that rounds back to
+    1.  Below 2**-54, 1 - x rounds to 1, and so does 1 + x.
     """
     x = _as_real(x, "move parameter", 0.0, 1.0)
     p1 = (1.0 - x) * (1.0 - x)
     p2 = x
-    partial = p1 + p2
-    if partial > 1.0:
-        p1 = 1.0 - p2
-        partial = p1 + p2
-    p3 = 1.0 - partial
+    p3 = 1.0 - (p1 + p2)
     return p1, p2, p3
 
 

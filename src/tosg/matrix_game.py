@@ -14,8 +14,7 @@ import importlib.util
 import json
 import os
 import sys
-from collections.abc import Callable
-from contextlib import suppress
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields, is_dataclass
 from typing import NamedTuple
 
@@ -264,17 +263,6 @@ def _certify(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> tuple:
     return _saddle(sigma, tau, float((sigma @ a).min()), float((a @ tau).max()), skew)
 
 
-def _exact_solution(sigma: np.ndarray, tau: np.ndarray, value: float, residual: float) -> GameSolution:
-    """The GameSolution of a _certify result."""
-    return GameSolution(
-        value=value,
-        row_strategy=MixedStrategy(sigma),
-        col_strategy=MixedStrategy(tau),
-        residual=residual,
-        method="exact",
-    )
-
-
 def solve_exact(game: PayoffMatrix) -> GameSolution:
     """Solve the game by linear programming.
 
@@ -288,10 +276,10 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
         payoff(any pure row, tau*) <= value + residual
 
     holds by construction; a skew-symmetric game reports value exactly 0,
-    and a gap above SADDLE_TOL raises SolverError.  If both runs of
-    _solve_lp's ladder fail, the shifted game A + 1 - min A, whose entries
-    are all at least 1, climbs it too, certified against A: sigma is the
-    same under the shift, and tau still comes from the duals.
+    and a gap above SADDLE_TOL raises SolverError.  The shifted game
+    A + 1 - min A, whose entries are all at least 1, is _solve_lp's second
+    layout, certified against A: sigma is the same under the shift, and
+    tau still comes from the duals.
     """
     a = game.entries
 
@@ -299,11 +287,15 @@ def solve_exact(game: PayoffMatrix) -> GameSolution:
         # The v column and the sum row come last.
         return _certify(a, x[:-1], duals[:-1])
 
-    model = _load_lp(_row_lp(a), "row LP")
-    with suppress(SolverError):
-        return _exact_solution(*_solve_lp(model, certify, "row LP"))
-    shifted = _load_lp(_row_lp(a, 1.0 - float(a.min())), "row LP")
-    return _exact_solution(*_solve_lp(shifted, certify, "row LP"))
+    layouts = (_row_lp(a, shifted) for shifted in (False, True))
+    sigma, tau, value, residual = _solve_lp(layouts, certify, "row LP")
+    return GameSolution(
+        value=value,
+        row_strategy=MixedStrategy(sigma),
+        col_strategy=MixedStrategy(tau),
+        residual=residual,
+        method="exact",
+    )
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -364,23 +356,22 @@ class _LP(NamedTuple):
     basic: np.ndarray | None = None
 
 
-def _load_lp(lp: _LP, name: str) -> tuple:
-    """A fresh HiGHS model holding ``lp``, with the options every solve uses, and its start basis.
+def _load_lp(lp: _LP, name: str):
+    """A fresh HiGHS model holding ``lp``, with the options every solve uses.
 
     HiGHS drops matrix entries up to ``small_matrix_value``, 1e-9 by
     default, which leaves a game of such entries short of the saddle
     contract, so the model keeps every entry above 1e-12, the least HiGHS
-    accepts.  An LP without a start basis is solved by the dual simplex
-    from the slack basis, and its basis is None.  One with a start basis
-    gets it through setBasis, each nonbasic column and row at its lower
-    bound where that is finite and at its upper bound otherwise, and is
-    solved by the primal simplex, which keeps a feasible start feasible,
-    with its bound perturbation off (_solve_lp says why).  The basis is
-    passed as not alien, so setBasis only counts its basics and run
-    factors it: an alien basis is factored twice, about 0.15 ms of the
-    4 ms 2-vs-6 grid-21 duel.  HiGHS is driven through
-    scipy's private ``_highspy`` binding, which pyproject pins, loaded by
-    _highs_core on the first model.
+    accepts.  An LP without a start basis is set up for the dual simplex
+    from the slack basis.  One with a start basis gets it through setBasis,
+    each nonbasic column and row at its lower bound where that is finite
+    and at its upper bound otherwise, and is set up for the primal simplex,
+    which keeps a feasible start feasible, with its bound perturbation off
+    (_solve_lp says why).  The basis is passed as not alien, so setBasis
+    only counts its basics and run factors it: an alien basis is factored
+    twice, about 0.15 ms of the 4 ms 2-vs-6 grid-21 duel.  HiGHS is driven
+    through scipy's private ``_highspy`` binding, which pyproject pins,
+    loaded by _highs_core on the first model.
     """
     core = _highs_core()
     highs = core._Highs()
@@ -406,7 +397,6 @@ def _load_lp(lp: _LP, name: str) -> tuple:
     )
     if status == core.HighsStatus.kError:
         raise SolverError(f"HiGHS refused the game's {name}")
-    basis = None
     if lp.basic is not None:
         kinds = core.HighsBasisStatus
         lower = np.isfinite(np.concatenate([lp.col_lower, lp.row_lower]))
@@ -416,67 +406,69 @@ def _load_lp(lp: _LP, name: str) -> tuple:
         basis.alien = False
         highs.setBasis(basis)
         highs.setOptionValue("primal_simplex_bound_perturbation_multiplier", 0.0)
-    return highs, basis
+    return highs
 
 
-def _solve_lp(model: tuple, certify: Callable[[np.ndarray, np.ndarray], tuple], name: str) -> tuple:
-    """``certify(x, duals)`` of the first run of a _load_lp model and basis that it accepts.
+def _solve_lp(layouts: Iterable[_LP], certify: Callable[[np.ndarray, np.ndarray], tuple], name: str) -> tuple:
+    """``certify(x, duals)`` of the first HiGHS run that it accepts: the one driver and recovery ladder.
 
-    The one HiGHS driver.  x is the primal and duals the row duals,
-    nonpositive on ``<=`` rows; certify ends in _saddle, whose SolverError
-    rejects them.  Only a failed run moves down the ladder, and a failed
-    last rung raises:
+    x is the primal and duals the row duals, nonpositive on ``<=`` rows;
+    certify ends in _saddle, whose SolverError rejects them.  A layout is
+    taken only once every run of the one before has failed, and loaded by
+    _load_lp, whose refusal raises at once; none is held while HiGHS runs
+    (a duel LP at the cap has 12 M nonzeros).  Each layout climbs the runs
+    below, and the last failure is raised:
 
-    1. The run _load_lp set up, without presolve: on a dense game it
-       removes nothing, and skipping it takes the 201-point timing LP from
-       about 35 to 26 ms and the 801-point one from about 1.5 to 1.35 s
-       (2 vCPUs), with the same iterations and bit-identical results.
-       Entries of about 1e-12 to 1e-9 beside O(1) ones can end it at
-       ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.  From a start
-       basis, the primal simplex runs unperturbed: HiGHS's bound
-       perturbation stalled it on the duel's start basis, as 1-vs-1
-       identity against power 3 took 25,677 iterations at grid 351 and
-       244 without it.  From the slack basis an unperturbed primal can
-       cycle, so an LP without a start basis never sets the option.
-    2. Only for an LP with a start basis: the same basis, set again on a
-       cleared solver, with HiGHS's default bound perturbation.  Some
-       degenerate duels that the unperturbed run leaves at ``Not Set``
-       certify only here.
-    3. A cold dual-simplex run with presolve.  HiGHS skips presolve on a
-       model that holds a useful basis, as an earlier run leaves behind,
-       so the solver's data is cleared first.
+    1. Only for an LP with a start basis: the primal simplex from that
+       basis, unperturbed.  HiGHS's bound perturbation stalled it on the
+       duel's start basis, as 1-vs-1 identity against power 3 took 25,677
+       iterations at grid 351 and 244 without it.  From the slack basis
+       an unperturbed primal can cycle, so an LP without a start basis
+       never sets the option.
+    2. The dual simplex from the slack basis, without presolve, which
+       removes nothing from a dense game: skipping it takes the 201-point
+       timing LP from about 35 to 26 ms and the 801-point one from about
+       1.5 to 1.35 s (2 vCPUs), with the same iterations and bit-identical
+       results.  Entries of about 1e-12 to 1e-9 beside O(1) ones can end
+       it at ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.  Some
+       degenerate duels that run 1 leaves at ``Not Set`` certify here.
+    3. The same with presolve.  HiGHS skips presolve on a model that holds
+       a useful basis, as an earlier run leaves behind, so each later run
+       starts on a cleared solver.
     """
     core = _highs_core()
-    highs, basis = model
-    for rung in (1, 3) if basis is None else (1, 2, 3):
-        if rung > 1:
-            highs.clearSolver()
-        if rung == 2:
-            highs.setOptionValue("primal_simplex_bound_perturbation_multiplier", 1.0)
-            highs.setBasis(basis)
-        elif rung == 3:
-            highs.setOptionValue("simplex_strategy", core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-            highs.setOptionValue("presolve", "on")
-        highs.run()
-        status = highs.getModelStatus()
-        try:
-            if status != core.HighsModelStatus.kOptimal:
-                raise SolverError(f"{name} failed: {highs.modelStatusToString(status)}")
-            solution = highs.getSolution()
-            return certify(np.array(solution.col_value), np.array(solution.row_dual))
-        except SolverError:
-            if rung == 3:
-                raise
+    dual = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    for lp in layouts:
+        first = 1 if lp.basic is not None else 2
+        highs, lp = _load_lp(lp, name), None
+        for rung in range(first, 4):
+            if rung > first:
+                highs.clearSolver()
+                if rung == 2:
+                    highs.setOptionValue("simplex_strategy", dual)
+                else:
+                    highs.setOptionValue("presolve", "on")
+            highs.run()
+            status = highs.getModelStatus()
+            try:
+                if status != core.HighsModelStatus.kOptimal:
+                    raise SolverError(f"{name} failed: {highs.modelStatusToString(status)}")
+                solution = highs.getSolution()
+                return certify(np.array(solution.col_value), np.array(solution.row_dual))
+            except SolverError as exc:
+                failure = exc
+    raise failure
 
 
-def _row_lp(a: np.ndarray, shift: float = 0.0) -> _LP:
-    """The row LP of game ``a + shift``: maximize v subject to sigma^T (A + shift) >= v per column.
+def _row_lp(a: np.ndarray, shifted: bool = False) -> _LP:
+    """The row LP of game ``a``, or if ``shifted`` of A + 1 - min A: maximize v subject to sigma^T A >= v per column.
 
     LP column i holds game row i's payoffs negated in the ``<= 0`` rows and
     a 1 in the last row, the sum row; the last column, v, holds a 1 in
     every ``<= 0`` row.  Exact zeros are left out.
     """
     m, n = a.shape
+    shift = 1.0 - float(a.min()) if shifted else 0.0
     body = np.column_stack([-a - shift, np.ones(m)])
     keep = body != 0.0
     start = np.append(0, np.cumsum(np.append(keep.sum(axis=1), n))).astype(np.int32)

@@ -92,7 +92,8 @@ class ProtocolConfig:
         if not isinstance(score, dict) or score.get("kind") not in ("decision_path", "table"):
             raise InputError("score must be a decision_path or table document")
         if score["kind"] == "table":
-            object.__setattr__(self, "score_table", _time_table(score.get("points"), "score table"))
+            points = _field(score, "points", "table score document")
+            object.__setattr__(self, "score_table", _time_table(points, "score table"))
         object.__setattr__(self, "score", score)
         # Kernel generator and grid validated eagerly so run_protocol fails fast.
         kernel_fn_from_spec(self.kernel_a)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from tosg import duel, matrix_game
+from tosg import matrix_game
 from tosg.duel import AccuracyFunction, DuelSpec
 from tosg.timing import TimingKernel, affine_kernel_fn, build_kernel
 
@@ -67,14 +67,12 @@ class CountingHighs:
 
 
 def counted_loads(monkeypatch, runs: list, model: type = CountingHighs) -> list:
-    """Wrap every model that solve_exact and solve_duel load in ``model``, recording into ``runs``; the wrapped models."""
+    """Wrap every model that _solve_lp loads in ``model``, recording into ``runs``; the wrapped models."""
     load, models = matrix_game._load_lp, []
 
     def counted(*args):
-        highs, basis = load(*args)
-        models.append(model(highs, runs))
-        return models[-1], basis
+        models.append(model(load(*args), runs))
+        return models[-1]
 
-    for module in (matrix_game, duel):
-        monkeypatch.setattr(module, "_load_lp", counted)
+    monkeypatch.setattr(matrix_game, "_load_lp", counted)
     return models

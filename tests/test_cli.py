@@ -687,14 +687,24 @@ class TestCliContract:
 
     def test_deep_trees_never_crash(self, tmp_path, capsys):
         # json.load and GameTree.from_dict both recurse per level, so near the
-        # recursion limit either may give out first.
+        # recursion limit either may give out first; some depth passes
+        # json.load and is refused by the tree's own recursion.
         half = sys.getrecursionlimit() // 2
-        for depth in range(half - 60, half + 5):
+        errors = set()
+        for depth in range(half - 100, half + 21):
             leaf = '{"kind": "leaf", "payoff": 1}'
             tree = '{"kind": "max", "children": [' * depth + leaf + "]}" * depth
             code, _, err = run(capsys, "eval-tree", write(tmp_path, "tree.json", tree))
             assert code in (0, 2)
-            assert code == 0 or err.count("\n") == 1
+            assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
+            errors.add(err)
+        assert "error: game tree nests too deeply to evaluate\n" in errors
+
+    def test_table_score_without_points_names_the_field(self, tmp_path, capsys):
+        config = {**GOLDEN_CONFIG, "score": {"kind": "table"}}
+        code, out, err = run(capsys, "run-protocol", write(tmp_path, "config.json", config))
+        assert (code, out) == (2, "")
+        assert err == "error: table score document needs a 'points' field\n"
 
     def test_deep_entries_never_crash(self, tmp_path, capsys):
         # numpy refuses more than its dimension cap, and json.load gives out

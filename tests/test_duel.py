@@ -45,9 +45,9 @@ small_duels = st.tuples(
 
 
 class LadderHighs(CountingHighs):
-    """Records each run's presolve option and primal bound perturbation: the duel's rung."""
+    """Records each run's presolve option and simplex strategy (1 dual, 4 primal): the duel's rung."""
 
-    options = ("presolve", "primal_simplex_bound_perturbation_multiplier")
+    options = ("presolve", "simplex_strategy")
 
 
 def refusal_peak(solver, spec: DuelSpec, grid_n: int) -> int:
@@ -449,7 +449,7 @@ def duel_lp(spec: DuelSpec, grid_n: int):
 def lp_flows(spec: DuelSpec, grid_n: int) -> tuple[_FlowGraph, np.ndarray, _FlowGraph, np.ndarray]:
     """Both players' graphs and the flows of solve_duel's LP: the primal for the row, the negated edge-row duals for the column."""
     rows, cols, lp = duel_lp(spec, grid_n)
-    x, duals = _solve_lp(_load_lp(lp, "sequence-form LP"), lambda *sol: sol, "sequence-form LP")
+    x, duals = _solve_lp((lp,), lambda *sol: sol, "sequence-form LP")
     return rows, np.maximum(x[: len(rows.layer)], 0.0), cols, np.maximum(-duals[: len(cols.layer)], 0.0)
 
 
@@ -521,12 +521,12 @@ class TestStartBasis:
         # One basic per row, and the start is primal feasible: HiGHS stops
         # at it with no infeasibility.
         assert lp.basic.sum() == len(lp.row_lower)
-        start, _ = _load_lp(lp, name)
+        start = _load_lp(lp, name)
         start.setOptionValue("simplex_iteration_limit", 0)
         start.run()
         assert start.getInfo().max_primal_infeasibility <= 1e-10
-        x, duals = _solve_lp(_load_lp(lp, name), lambda *sol: sol, name)
-        slack, _ = _solve_lp(_load_lp(lp._replace(basic=None), name), lambda *sol: sol, name)
+        x, duals = _solve_lp((lp,), lambda *sol: sol, name)
+        slack, _ = _solve_lp((lp._replace(basic=None),), lambda *sol: sol, name)
         assert abs(lp.cost @ x - lp.cost @ slack) <= 1e-12
         # Every potential stays basic, so the negated edge-row duals
         # conserve the column player's flow at every node.
@@ -550,24 +550,29 @@ class TestStartBasis:
         for spec, grid_n in cases:
             _, _, lp = duel_lp(spec, grid_n)
             budget = int(0.6 * len(lp.row_lower))
-            highs, _ = _load_lp(lp, "sequence-form LP")
+            highs = _load_lp(lp, "sequence-form LP")
             assert highs.getOptionValue("primal_simplex_bound_perturbation_multiplier")[1] == 0.0
             highs.setOptionValue("simplex_iteration_limit", budget)
             highs.run()
             assert highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal, (spec, grid_n)
             assert highs.getInfo().simplex_iteration_count <= budget
 
-    def test_perturbed_run_certifies_what_the_unperturbed_run_leaves(self, monkeypatch):
-        # The unperturbed run from the start basis ends at "Not Set" here, and
-        # so does the presolved dual run; the perturbed run from the same
-        # basis certifies.
+    def test_cold_dual_run_certifies_what_the_start_run_leaves(self, monkeypatch):
+        # The unperturbed primal run from the start basis ends at "Not Set"
+        # on these grid-101 duels; the dual run from the slack basis
+        # certifies them.
+        cases = (
+            (DuelSpec(4, 4, AccuracyFunction.power(20), SURE_EARLY), -0.9999999805153879),
+            (DuelSpec(2, 5, AccuracyFunction.power(20), AccuracyFunction.power(0.05)), -0.9999999688040027),
+        )
         runs = []
         counted_loads(monkeypatch, runs, LadderHighs)
-        spec = DuelSpec(4, 4, AccuracyFunction.power(20), SURE_EARLY)
-        solution = solve_duel(spec, 101)
-        assert runs == [("off", 0.0), ("off", 1.0)]
-        assert solution.value == pytest.approx(-0.9999999805153879, abs=1e-9)
-        assert solution.residual <= 1e-9
+        for spec, value in cases:
+            runs.clear()
+            solution = solve_duel(spec, 101)
+            assert runs == [("off", 4), ("off", 1)]
+            assert solution.value == pytest.approx(value, abs=1e-9)
+            assert solution.residual <= 1e-9
 
 
 class TestSolveDuel:
@@ -665,8 +670,9 @@ class TestSolveDuel:
         assert refusal_peak(solve_duel, spec, grid_n) < 1 << 20
 
     def test_failed_runs_climb_the_ladder_and_raise(self, monkeypatch):
-        # Every run ends short of optimal: the unperturbed run from the start
-        # basis, the perturbed one, the presolved run, and then SolverError.
+        # Every run ends short of optimal: the primal run from the start
+        # basis, the dual run from the slack basis, the presolved run, and
+        # then SolverError.
         runs = []
 
         class FailingHighs(LadderHighs):
@@ -676,13 +682,13 @@ class TestSolveDuel:
         counted_loads(monkeypatch, runs, FailingHighs)
         with pytest.raises(SolverError, match="sequence-form LP failed: Not Set"):
             solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
-        assert runs == [("off", 0.0), ("off", 1.0), ("on", 1.0)]
+        assert runs == [("off", 4), ("off", 1), ("on", 1)]
 
     def test_failed_certificate_is_solved_again_with_presolve(self, monkeypatch):
-        # Runs from the start basis whose strategies fall short of SADDLE_TOL
-        # move down to the presolve run, which is certified afresh.  They
-        # leave a basis behind, so presolve runs only because _solve_lp
-        # clears it.
+        # The start run and the cold dual run, whose strategies fall short
+        # of SADDLE_TOL, move down to the presolve run, which is certified
+        # afresh.  They leave a basis behind, so presolve runs only because
+        # _solve_lp clears it.
         runs = []
         best_gain = _FlowGraph.best_gain
 
@@ -692,7 +698,7 @@ class TestSolveDuel:
         models = counted_loads(monkeypatch, runs, LadderHighs)
         monkeypatch.setattr(_FlowGraph, "best_gain", short_until_presolve)
         solution = solve_duel(DuelSpec(2, 6, IDENT, IDENT), 21)
-        assert runs == [("off", 0.0), ("off", 1.0), ("on", 1.0)]
+        assert runs == [("off", 4), ("off", 1), ("on", 1)]
         assert models[0].getModelPresolveStatus() != _highs_core().HighsPresolveStatus.kNotPresolved
         assert abs(solution.value - -0.47292884098749355) <= 1e-9
         assert solution.residual <= 1e-9

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tosg.errors import InputError
 from tosg.game_tree import (
@@ -102,10 +102,34 @@ class TestReachProbs:
 
     @settings(max_examples=300, deadline=None)
     @given(unit)
+    @example(2.0**-54)  # 1 - x rounds to 1 here, and 1 + x back to 1
+    @example(math.nextafter(2.0**-54, 0.0))
+    @example(math.nextafter(2.0**-54, 1.0))
+    @example(5.0 * 2.0**-54)
+    @example(5e-324)
+    @example(0.5)
+    @example(math.nextafter(0.5, 0.0))
+    @example(math.nextafter(1.0, 0.0))
     def test_sums_to_one_exactly(self, x):
-        probs = evader_reach_probs(x)
-        assert sum(probs) == 1.0
-        assert all(p >= 0.0 for p in probs)
+        p1, p2, p3 = evader_reach_probs(x)
+        assert p1 + p2 <= 1.0
+        assert p3 >= 0.0
+        assert p1 + p2 + p3 == 1.0
+
+    def test_never_rounds_past_one_near_the_edges(self):
+        # The docstring's argument, on the doubles where rounding is tightest:
+        # every k * 2**-60 below 2**-48, and walks of adjacent doubles below
+        # 1 and 1/2 and up from 0.
+        def walk(x, toward, steps):
+            for _ in range(steps):
+                yield x
+                x = math.nextafter(x, toward)
+
+        edges = [k * 2.0**-60 for k in range(4096)]
+        edges += [*walk(1.0, 0.0, 2000), *walk(0.5, 0.0, 2000), *walk(0.5, 1.0, 2000), *walk(0.0, 1.0, 2000)]
+        for x in edges:
+            p1, p2, p3 = evader_reach_probs(x)
+            assert p1 + p2 <= 1.0 and p3 >= 0.0 and p1 + p2 + p3 == 1.0, x
 
     def test_range_check(self):
         with pytest.raises(InputError):

@@ -19,7 +19,7 @@ from tosg.decision import (
 )
 from tosg.duel import AccuracyFunction, DuelSpec, TimeVector, simulate_duel, solve_duel
 from tosg.errors import InputError
-from tosg.game_tree import GameTree, evader_reach_probs
+from tosg.game_tree import GameTree, evader_reach_probs, evaluate_tree
 from tosg.matrix_game import MixedStrategy, PayoffMatrix, solve_fictitious_play
 from tosg.pipeline import ProtocolConfig, imbed_objective
 from tosg.risk import MitigatingRiskParams
@@ -119,6 +119,24 @@ def coordinate_problem(*indices) -> TosgProblem:
         lambda: evader_reach_probs(True),
         lambda: replace(ProtocolConfig.from_dict(GOLDEN_CONFIG), imbed_weight="0.25"),
         lambda: replace(ProtocolConfig.from_dict(GOLDEN_CONFIG), grid_n=21.5),
+        # each constructor's own checks, built directly
+        lambda: GameTree("leaf", payoff=1.0, children=(GameTree.leaf(0.0),)),
+        lambda: GameTree("max", payoff=1.0, children=(GameTree.leaf(0.0),)),
+        lambda: GameTree("min", children=("leaf",)),
+        lambda: GameTree("chance", children=(GameTree.leaf(0.0),)),
+        lambda: GameTree("max", children=(GameTree.leaf(0.0),), probs=(1.0,)),
+        lambda: evaluate_tree({"kind": "leaf", "payoff": 1.0}),
+        lambda: AccuracyFunction("power", k=2.0, points=((0.0, 0.0), (1.0, 1.0))),
+        lambda: AccuracyFunction("cubic"),
+        lambda: IDENTITY(["soon"]),
+        lambda: solve_duel(DuelSpec(1, 1, IDENTITY, IDENTITY), 1),
+        lambda: TimingKernel(grid=[0.0, 1.0], a_upper=np.zeros((2, 2))),
+        lambda: TimingKernel(grid=[0.0, 0.7, 0.5, 1.0], a_upper=np.zeros((4, 4))),
+        lambda: TimingKernel(grid=[0.0, 0.5, 1.0], a_upper=np.zeros((3, 4))),
+        lambda: AccuracyFunction.table([[0.0, 0.0]]),
+        lambda: MixedStrategy([]),
+        lambda: replace(ProtocolConfig.from_dict(GOLDEN_CONFIG), risks={}),
+        lambda: ProtocolConfig.from_dict({**GOLDEN_CONFIG, "score": {"kind": "table"}}),
     ],
 )
 def test_garbage_documents_raise_input_error(build):

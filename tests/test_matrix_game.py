@@ -272,8 +272,7 @@ class TestGrowingGame:
         for name in names:
             assert operator.attrgetter(name)(_core) is not None, name
         # _load_lp passes the arrays through passModel's array overload.
-        highs, basis = _load_lp(_row_lp(np.array([[2.5]])), "row LP")
-        assert basis is None
+        highs = _load_lp(_row_lp(np.array([[2.5]])), "row LP")
         lp = highs.getLp()
         assert (lp.num_col_, lp.num_row_) == (2, 2)
         assert list(lp.a_matrix_.value_) == [-2.5, 1.0, 1.0]
@@ -335,7 +334,7 @@ class TestGrowingGame:
         # either layout: two of 1.4e-17 in the 201-point kernel.
         reference.data[np.abs(reference.data) <= 1e-12] = 0.0
         reference.eliminate_zeros()
-        lp = _load_lp(_row_lp(a), "row LP")[0].getLp()
+        lp = _load_lp(_row_lp(a), "row LP").getLp()
         assert (lp.num_col_, lp.num_row_) == (m + 1, n + 1)
         assert np.array_equal(lp.a_matrix_.start_, reference.indptr)
         assert np.array_equal(lp.a_matrix_.index_, reference.indices)
@@ -479,3 +478,9 @@ class TestFictitiousPlay:
     def test_rejects_zero_iterations(self):
         with pytest.raises(InputError):
             solve_fictitious_play(PayoffMatrix([[1.0]]), 0)
+
+    def test_overflowing_bracket_raises(self):
+        # One iteration's payoff sums stay within float64, but the width of
+        # its bracket [-1e308, 1e308] does not.
+        with pytest.raises(SolverError, match="fictitious play bracket overflows float64"):
+            solve_fictitious_play(PayoffMatrix([[1e308, -1e308], [-1e308, 1e308]]), 1)

@@ -46,22 +46,36 @@ def test_every_private_name_is_used_in_the_package():
     assert unused == []
 
 
-def test_real_scalars_are_read_only_by_as_real():
-    # matrix_game._as_real reads every real scalar, so a field is checked by
-    # one rule: no other function reads a 0-dimensional _as_float_array.
-    readers = set()
+def calls(name: str) -> list[tuple[str, ast.Call]]:
+    """(enclosing function, call) for every call of ``name`` in src/tosg, as a name or an attribute."""
+    found = []
 
     def visit(node: ast.AST, function: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_as_float_array":
-                (ndim,) = [*child.args[2:], *(k.value for k in child.keywords if k.arg == "ndim")]
-                if not (isinstance(ndim, ast.Constant) and ndim.value in (1, 2)):
-                    readers.add(function)
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append((function, child))
             visit(child, function)
 
     for path in SOURCES:
         visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_real_scalars_are_read_only_by_as_real():
+    # matrix_game._as_real reads every real scalar, so a field is checked by
+    # one rule: no other function reads a 0-dimensional _as_float_array.
+    readers = set()
+    for function, call in calls("_as_float_array"):
+        (ndim,) = [*call.args[2:], *(k.value for k in call.keywords if k.arg == "ndim")]
+        if not (isinstance(ndim, ast.Constant) and ndim.value in (1, 2)):
+            readers.add(function)
     assert readers == {"_as_real"}
+
+
+def test_only_the_ladder_loads_an_lp():
+    # matrix_game._solve_lp is the one recovery ladder: every HiGHS model is
+    # loaded there, so no solver grows a second ladder around its own load.
+    assert [function for function, _ in calls("_load_lp")] == ["_solve_lp"]

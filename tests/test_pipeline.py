@@ -72,6 +72,24 @@ class TestProtocolConfig:
         again = ProtocolConfig.from_dict(config.to_dict())
         assert config.sha256() == again.sha256()
 
+    def test_affine_parts_roundtrip_and_hash(self):
+        # AffineObjective.to_dict and AffineConstraint.to_dict feed the hash
+        # as the golden config's quadratic and coordinate parts do.
+        doc = {
+            **GOLDEN_CONFIG,
+            "objective": {"kind": "affine", "c": [1.0, -2.0, 0.5], "b": 0.25},
+            "constraints": [
+                {"kind": "coord", "index": 0},
+                {"kind": "affine", "a": [0.5, 0.5, 0.0], "b": -1.0},
+                {"kind": "coord", "index": 2},
+            ],
+        }
+        config = ProtocolConfig.from_dict(doc)
+        assert config.to_dict() == doc
+        again = ProtocolConfig.from_dict(config.to_dict())
+        assert again.sha256() == config.sha256()
+        assert config.sha256() == "ec4f68b7817c3d0fafea3a677870dfcca8e6719a6875dab6489bb6ac4ef14d21"
+
     def test_missing_field(self):
         doc = copy.deepcopy(GOLDEN_CONFIG)
         del doc["baselines"]
