@@ -356,6 +356,11 @@ class _LP(NamedTuple):
     basic: np.ndarray | None = None
 
 
+# _load_lp's HiGHS refuses a model holding a matrix value of this magnitude
+# or more: its default large_matrix_value, which _load_lp leaves as it is.
+_LARGE_MATRIX_VALUE = 1e15
+
+
 def _load_lp(lp: _LP, name: str):
     """A fresh HiGHS model holding ``lp``, with the options every solve uses.
 
@@ -426,12 +431,14 @@ def _solve_lp(layouts: Iterable[_LP], certify: Callable[[np.ndarray, np.ndarray]
        an unperturbed primal can cycle, so an LP without a start basis
        never sets the option.
     2. The dual simplex from the slack basis, without presolve, which
-       removes nothing from a dense game: skipping it takes the 201-point
-       timing LP from about 35 to 26 ms and the 801-point one from about
-       1.5 to 1.35 s (2 vCPUs), with the same iterations and bit-identical
-       results.  Entries of about 1e-12 to 1e-9 beside O(1) ones can end
-       it at ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.  Some
-       degenerate duels that run 1 leaves at ``Not Set`` certify here.
+       removes nothing from a dense game: skipping it takes the dense row
+       LP of the 201-point duel kernel's game from about 35 to 26 ms and
+       of the 801-point one from about 1.5 to 1.35 s (2 vCPUs), with the
+       same iterations and bit-identical results; solve_timing runs that
+       layout only after the kernel's factored one.  Entries of about
+       1e-12 to 1e-9 beside O(1) ones can end it at ``Not Set`` or
+       ``Unknown``, or short of SADDLE_TOL.  Some degenerate duels that
+       run 1 leaves at ``Not Set`` certify here.
     3. The same with presolve.  HiGHS skips presolve on a model that holds
        a useful basis, as an earlier run leaves behind, so each later run
        starts on a cleared solver.

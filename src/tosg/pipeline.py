@@ -47,7 +47,11 @@ def imbed_objective(kernel: TimingKernel, g, weight: float) -> TimingKernel:
     ``g`` holds the scores over the kernel grid.  The shifted kernel is
     reassembled from its upper triangle, so it stays exactly
     skew-symmetric; weight 0 or a constant score leaves the kernel
-    unchanged.  A shift that overflows float64 raises SolverError.
+    unchanged.  A shift that overflows float64 raises SolverError.  The
+    kernel's factors, if it has them, gain the potential as two terms,
+    (p, 1) and (1, -p) with p = weight*g.  There g is measured from its
+    least score, which leaves the potential as it is and keeps the
+    factors no larger than the kernel's entries need.
     """
     weight = _as_real(weight, "imbedding weight", 0.0)
     scores = _as_float_array(g, "score values", 1)
@@ -55,9 +59,14 @@ def imbed_objective(kernel: TimingKernel, g, weight: float) -> TimingKernel:
         raise InputError("score values must match the kernel grid")
     with np.errstate(over="ignore", invalid="ignore"):
         a_upper = kernel.a_upper + weight * (scores[:, None] - scores[None, :])
+        potential = weight * (scores - scores.min())
     if not np.all(np.isfinite(a_upper)):
         raise SolverError("the imbedding weight * (g(x) - g(y)) overflows the kernel")
-    return TimingKernel(grid=kernel.grid, a_upper=a_upper)
+    factors = kernel.factors
+    if factors is not None:
+        one = np.ones_like(potential)
+        factors = np.vstack([factors[0], potential, one]), np.vstack([factors[1], one, -potential])
+    return TimingKernel(grid=kernel.grid, a_upper=a_upper, factors=factors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,6 +66,12 @@ class CountingHighs:
         return self._highs.run()
 
 
+class LadderHighs(CountingHighs):
+    """Records each run's presolve option and simplex strategy (1 dual, 4 primal): the ladder's rung."""
+
+    options = ("presolve", "simplex_strategy")
+
+
 def counted_loads(monkeypatch, runs: list, model: type = CountingHighs) -> list:
     """Wrap every model that _solve_lp loads in ``model``, recording into ``runs``; the wrapped models."""
     load, models = matrix_game._load_lp, []

@@ -304,6 +304,23 @@ class TestTreeAndTiming:
         assert lines[0] == "t,weight,cdf"
         assert len(lines) == 22
 
+    @pytest.mark.parametrize(
+        "coefficients,code",
+        [
+            # Entries up to 2.5e14, which HiGHS accepts, from a factor of 1e15 x,
+            # which it refuses: the dense layout solves the game.
+            ((1e15, 0.0, -1e15, 0.0), 0),
+            # Finite entries whose factored coefficients overflow float64.
+            ((0.6e308, 0.6e308, -1.2e308, 0.6e308), 1),
+        ],
+    )
+    def test_factors_past_what_highs_accepts_leave_the_dense_path(self, tmp_path, capsys, coefficients, code):
+        generator = {"kind": "affine", **dict(zip(("cx", "cy", "cxy", "c0"), coefficients))}
+        path = write(tmp_path, "kernel.json", {"A": generator, "grid_n": 21})
+        exit_code, _, err = run(capsys, "solve-timing", path)
+        assert exit_code == code
+        assert err == ("" if code == 0 else "error: HiGHS refused the game's timing LP\n")
+
     def test_solve_timing_801_meets_default_tol(self, tmp_path, capsys):
         path = write(tmp_path, "kernel.json", {"A": {"kind": "duel"}, "grid_n": 801})
         code, out, err = run(capsys, "solve-timing", path)

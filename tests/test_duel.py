@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import CountingHighs, counted_loads
+from conftest import LadderHighs, counted_loads
 from tosg.duel import (
     AccuracyFunction,
     DuelSpec,
@@ -42,12 +42,6 @@ small_duels = st.tuples(
     st.builds(DuelSpec, st.integers(1, 3), st.integers(1, 3), accuracies, accuracies),
     st.integers(2, 9),
 ).map(lambda case: (case[0], max(case[1], case[0].m, case[0].n)))
-
-
-class LadderHighs(CountingHighs):
-    """Records each run's presolve option and simplex strategy (1 dual, 4 primal): the duel's rung."""
-
-    options = ("presolve", "simplex_strategy")
 
 
 def refusal_peak(solver, spec: DuelSpec, grid_n: int) -> int:

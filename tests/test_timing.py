@@ -1,15 +1,31 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_monotone_kernel
+from conftest import LadderHighs, counted_loads, random_monotone_kernel
+from tosg import pipeline
 from tosg.duel import AccuracyFunction, DuelSpec, discretize_duel
 from tosg.errors import InputError, ResourceLimitError
-from tosg.matrix_game import MAX_CELLS, MixedStrategy, PayoffMatrix, solve_fictitious_play
+from tosg.matrix_game import (
+    MAX_CELLS,
+    SADDLE_TOL,
+    MixedStrategy,
+    PayoffMatrix,
+    _certify,
+    _highs_core,
+    _load_lp,
+    solve_exact,
+    solve_fictitious_play,
+)
 from tosg.timing import (
+    TimingKernel,
+    _factored_lp,
+    affine_kernel_fn,
     build_kernel,
     classify_boundary,
     duel_kernel_fn,
@@ -20,6 +36,7 @@ from tosg.timing import (
 )
 
 DUEL_201 = build_kernel(duel_kernel_fn, 201)
+GOLDEN_CONFIG = json.loads((Path(__file__).parent / "data" / "golden_protocol_config.json").read_text())
 
 
 def pure_at(index: int, size: int) -> MixedStrategy:
@@ -261,3 +278,145 @@ class TestBasicInterval:
         assert b == pytest.approx(np.sqrt(0.5), abs=0.01)
         points, _ = spectrum(solve_timing(kernel).strategy, kernel)
         assert points.min() >= b
+
+
+def golden_kernel(monkeypatch) -> TimingKernel:
+    """The imbedded kernel that run_protocol solves on the golden config."""
+    kernels = []
+    monkeypatch.setattr(pipeline, "solve_timing", lambda kernel: kernels.append(kernel) or solve_timing(kernel))
+    pipeline.run_protocol(pipeline.ProtocolConfig.from_dict(GOLDEN_CONFIG))
+    monkeypatch.undo()
+    return kernels[0]
+
+
+# The CLI admits any finite coefficient; these have magnitudes from 1e-3 to
+# 1e3, the scales of the skew games that the dense layouts certify, or are
+# exact zeros, which drop a term.
+coefficient = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from((-1.0, 1.0)), st.floats(1.0, 10.0), st.floats(-3.0, 2.0)),
+)
+
+
+@st.composite
+def factored_kernels(draw) -> TimingKernel:
+    """A duel or affine kernel from its CLI document, on 3 to 60 points, imbedded or not."""
+    grid_n = draw(st.integers(3, 60))
+    generator = draw(st.one_of(
+        st.just({"kind": "duel"}),
+        st.fixed_dictionaries({"kind": st.just("affine"), **dict.fromkeys(("cx", "cy", "cxy", "c0"), coefficient)}),
+    ))
+    kernel = kernel_from_spec({"A": generator, "grid_n": grid_n})
+    if draw(st.booleans()):
+        # Scores span at most 1 beside an offset, as a decision-path score does.
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scores = draw(coefficient) + rng.random(grid_n)
+        kernel = pipeline.imbed_objective(kernel, scores, abs(draw(coefficient)))
+    return kernel
+
+
+class TestFactoredLP:
+    @settings(max_examples=60, deadline=None)
+    @given(factored_kernels())
+    def test_factors_agree_with_the_kernel_and_certify(self, kernel):
+        a, b = kernel.factors
+        upper = np.triu_indices(kernel.grid_n)
+        # Within 8 ulps of the kernel's scale, its largest sum_k |a_k(x_i) b_k(x_j)|
+        # on the triangle: 2 ulps at worst in 3,000 draws.
+        error = np.abs(np.einsum("ki,kj->ij", a, b) - kernel.a_upper)[upper].max()
+        scale = np.einsum("ki,kj->ij", np.abs(a), np.abs(b))[upper].max()
+        assert error <= 8 * np.finfo(float).eps * scale
+        # One basic per row, and the start is primal feasible.
+        lp = _factored_lp(kernel)
+        assert lp.basic.sum() == len(lp.row_lower)
+        start = _load_lp(lp, "timing LP")
+        start.setOptionValue("simplex_iteration_limit", 0)
+        start.run()
+        assert start.getInfo().max_primal_infeasibility <= 1e-10
+        solution = solve_timing(kernel)
+        assert solution.value == 0.0
+        assert solution.residual_eq11 <= SADDLE_TOL
+
+    def test_start_run_certifies_within_its_budget(self, monkeypatch):
+        # The golden imbedded kernel has three factor vectors up to sign
+        # (x, 1 and its potential), so 805 rows and 3,207 nonzeros against
+        # the dense 202 x 201 layout's 40,602; the duel kernel at grid 801
+        # has two, so 2,404 rows.  From the start basis they take 195 and 914
+        # iterations, 0.24 and 0.38 per row; the budget of 0.48 per row is
+        # 25% above the larger.
+        # Each start run certifies on the dense matrix, so solve_timing
+        # makes one run, the primal one from the start basis, which only the
+        # factored layout has: a silent fall-back to the dense layouts fails
+        # here.
+        for kernel, distinct in ((golden_kernel(monkeypatch), 3), (build_kernel(duel_kernel_fn, 801), 2)):
+            n = kernel.grid_n
+            lp = _factored_lp(kernel)
+            assert len(lp.row_lower) == n + 1 + distinct * n
+            budget = int(0.48 * len(lp.row_lower))
+            highs = _load_lp(lp, "timing LP")
+            highs.setOptionValue("simplex_iteration_limit", budget)
+            highs.run()
+            assert highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal, n
+            assert highs.getInfo().simplex_iteration_count <= budget
+            solution = highs.getSolution()
+            _certify(kernel.matrix, np.array(solution.col_value)[:n], np.array(solution.row_dual)[:n])
+            runs = []
+            counted_loads(monkeypatch, runs, LadderHighs)
+            solve_timing(kernel)
+            monkeypatch.undo()
+            assert runs == [("off", 4)]
+
+    def test_kernels_without_usable_factors_solve_the_dense_lp(self, monkeypatch):
+        # A plain callable gives no factors and solve_exact's answer, bit
+        # for bit.  Factors of another generator fail every run of the
+        # factored layout, and the first dense layout gives the same bits.
+        plain = build_kernel(lambda x, y: x - y + x * y, 41)
+        assert plain.factors is None
+        other = build_kernel(affine_kernel_fn(1.0, -1.0, 1.0, -0.5), 41).factors
+        corrupted = TimingKernel(plain.grid, plain.a_upper, factors=other)
+        expected = solve_exact(PayoffMatrix(plain.matrix)).row_strategy.weights
+        # 1e15 x (1 - y) has entries up to 2.5e14, which HiGHS accepts, but
+        # a factor of 1e15 x, which it refuses: only the dense layout loads.
+        cancelling = build_kernel(affine_kernel_fn(1e15, 0.0, -1e15, 0.0), 41)
+        for kernel, loads, weights in (
+            (plain, 1, expected),
+            (corrupted, 2, expected),
+            (cancelling, 1, solve_exact(PayoffMatrix(cancelling.matrix)).row_strategy.weights),
+        ):
+            runs = []
+            models = counted_loads(monkeypatch, runs)
+            solution = solve_timing(kernel)
+            monkeypatch.undo()
+            assert len(models) == loads
+            assert np.array_equal(solution.strategy.weights, weights)
+
+    def test_factors_are_checked_and_dropped_when_not_finite(self):
+        grid, a_upper = DUEL_201.grid, DUEL_201.a_upper
+        assert TimingKernel(grid, a_upper).factors is None
+        a, b = DUEL_201.factors
+        assert TimingKernel(grid, a_upper, factors=(np.full_like(a, np.inf), b)).factors is None
+        with pytest.raises(InputError, match="factors"):
+            TimingKernel(grid, a_upper, factors=(a, b[:, 1:]))
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            # One term: A(x, y) = x (1 - y).
+            (lambda x: x[None], lambda x: (1.0 - x)[None]),
+            # Three terms in no order the generators use: A(x, y) = 2 x y - y + 0.5 x**2.
+            (lambda x: np.array([2.0 * x, -np.ones_like(x), 0.5 * x**2]), lambda x: np.array([x, x, np.ones_like(x)])),
+        ],
+    )
+    def test_directly_built_factors_are_imbedded_and_solved_in_one_run(self, monkeypatch, a, b):
+        grid = np.linspace(0.0, 1.0, 31)
+        factors = a(grid), b(grid)
+        kernel = TimingKernel(grid, np.triu(np.einsum("ki,kj->ij", *factors)), factors=factors)
+        kernel = pipeline.imbed_objective(kernel, np.sin(5.0 * grid), 0.5)
+        upper = np.triu_indices(kernel.grid_n)
+        assert np.allclose(np.einsum("ki,kj->ij", *kernel.factors)[upper], kernel.a_upper[upper], rtol=0.0, atol=1e-14)
+        runs = []
+        counted_loads(monkeypatch, runs, LadderHighs)
+        solution = solve_timing(kernel)
+        monkeypatch.undo()
+        assert runs == [("off", 4)]
+        assert solution.residual_eq11 <= SADDLE_TOL
