@@ -475,13 +475,7 @@ def _duel_lp(rows: _FlowGraph, cols: _FlowGraph) -> _LP:
         (edge_rows + rows.tail, np.arange(z_cols), np.ones(z_cols)),
         (edge_rows + rows.head[inward], np.flatnonzero(inward), -rows.gain[inward]),
     ))
-    keep = value != 0.0
-    row, col, value = row[keep], col[keep], value[keep]
-    num_col = z_cols + cols.nodes
-    # No (row, column) pair repeats, so one key orders the entries column-wise.
-    order = np.argsort(col * (edge_rows + rows.nodes) + row)
-    start = np.append(0, np.cumsum(np.bincount(col, minlength=num_col))).astype(np.int32)
-    cost, balance = np.zeros(num_col), np.zeros(rows.nodes)
+    cost, balance = np.zeros(z_cols + cols.nodes), np.zeros(rows.nodes)
     cost[z_cols] = -1.0  # the column source's potential, maximized
     balance[0] = 1.0
     row_alive, row_fire, _ = rows.behaviour(np.zeros(z_cols))  # no flow: every node's first edge
@@ -494,11 +488,11 @@ def _duel_lp(rows: _FlowGraph, cols: _FlowGraph) -> _LP:
     # without it, but the dual simplex from the slack basis takes fewer
     # with z boxed, and y stays a best response: z's best response to y
     # satisfies it anyway.
-    return _LP(
+    return _LP.from_entries(
         cost, np.append(np.zeros(z_cols), np.full(cols.nodes, -np.inf)),
         np.append(np.ones(z_cols), np.full(cols.nodes, np.inf)),
         np.append(np.full(edge_rows, -np.inf), balance), np.append(np.zeros(edge_rows), balance),
-        start, row[order].astype(np.int32), value[order],
+        row, col, value,
         np.concatenate([rows.first, np.ones(cols.nodes, dtype=bool), slack, np.zeros(rows.nodes, dtype=bool)]),
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import json
 import os
 import sys
@@ -254,11 +255,15 @@ def _saddle(row, col, lower: float, upper: float, symmetric: bool) -> tuple:
 
 
 def _certify(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> tuple:
-    """_saddle on game ``a`` of sigma and tau: the row LP's primal x and negated column-row duals, normalized."""
-    sigma = _normalized(x)
-    # HiGHS reports the duals of <= rows as nonpositive; negated they are tau*.
-    tau = _normalized(-duals)
+    """_saddle on game ``a`` of sigma and tau, normalized, read from a game layout's primal x and row duals.
+
+    Every game layout puts sigma in its first m columns and its n ``<= 0``
+    column rows first.
+    """
     m, n = a.shape
+    sigma = _normalized(x[:m])
+    # HiGHS reports the duals of <= rows as nonpositive; negated they are tau*.
+    tau = _normalized(-duals[:n])
     skew = m == n and np.array_equal(a, -a.T)
     return _saddle(sigma, tau, float((sigma @ a).min()), float((a @ tau).max()), skew)
 
@@ -266,29 +271,19 @@ def _certify(a: np.ndarray, x: np.ndarray, duals: np.ndarray) -> tuple:
 def solve_exact(game: PayoffMatrix) -> GameSolution:
     """Solve the game by linear programming.
 
-    One HiGHS program, _row_lp, maximizes v subject to sigma^T A >= v per
-    column, and the column strategy is read from the duals of those column
-    constraints.  _certify reports, through _saddle, the midpoint of the
-    verified security levels of the two returned strategies as the value
-    and their gap as the residual, so the saddle contract
+    _solve_game maximizes v subject to sigma^T A >= v per column, and reads
+    the column strategy from the duals of those column constraints.
+    _certify reports, through _saddle, the midpoint of the verified
+    security levels of the two returned strategies as the value and their
+    gap as the residual, so the saddle contract
 
         payoff(sigma*, any pure column) >= value - residual
         payoff(any pure row, tau*) <= value + residual
 
     holds by construction; a skew-symmetric game reports value exactly 0,
-    and a gap above SADDLE_TOL raises SolverError.  The shifted game
-    A + 1 - min A, whose entries are all at least 1, is _solve_lp's second
-    layout, certified against A: sigma is the same under the shift, and
-    tau still comes from the duals.
+    and a gap above SADDLE_TOL raises SolverError.
     """
-    a = game.entries
-
-    def certify(x: np.ndarray, duals: np.ndarray) -> tuple:
-        # The v column and the sum row come last.
-        return _certify(a, x[:-1], duals[:-1])
-
-    layouts = (_row_lp(a, shifted) for shifted in (False, True))
-    sigma, tau, value, residual = _solve_lp(layouts, certify, "row LP")
+    sigma, tau, value, residual = _solve_game(game.entries, (), "row LP")
     return GameSolution(
         value=value,
         row_strategy=MixedStrategy(sigma),
@@ -354,6 +349,21 @@ class _LP(NamedTuple):
     index: np.ndarray
     value: np.ndarray
     basic: np.ndarray | None = None
+
+    @classmethod
+    def from_entries(cls, cost, col_lower, col_upper, row_lower, row_upper, row, col, value, basic=None) -> "_LP":
+        """The LP whose matrix holds value[k] at (row[k], col[k]): entries in any order, no pair twice.
+
+        Exact zeros are left out, and the rest ordered column-wise.
+        """
+        keep = value != 0.0
+        row, col, value = row[keep], col[keep], value[keep]
+        # No (row, column) pair repeats, so one key orders the entries column-wise.
+        order = np.argsort(col * len(row_lower) + row)
+        start = np.append(0, np.cumsum(np.bincount(col, minlength=len(cost)))).astype(np.int32)
+        return cls(
+            cost, col_lower, col_upper, row_lower, row_upper, start, row[order].astype(np.int32), value[order], basic
+        )
 
 
 # _load_lp's HiGHS refuses a model holding a matrix value of this magnitude
@@ -434,11 +444,12 @@ def _solve_lp(layouts: Iterable[_LP], certify: Callable[[np.ndarray, np.ndarray]
        removes nothing from a dense game: skipping it takes the dense row
        LP of the 201-point duel kernel's game from about 35 to 26 ms and
        of the 801-point one from about 1.5 to 1.35 s (2 vCPUs), with the
-       same iterations and bit-identical results; solve_timing runs that
-       layout only after the kernel's factored one.  Entries of about
-       1e-12 to 1e-9 beside O(1) ones can end it at ``Not Set`` or
-       ``Unknown``, or short of SADDLE_TOL.  Some degenerate duels that
-       run 1 leaves at ``Not Set`` certify here.
+       same iterations and bit-identical results; _solve_game runs that
+       layout only after those it is given first, such as a kernel's
+       factored one.  Entries of about 1e-12 to 1e-9 beside O(1) ones
+       can end it at ``Not Set`` or ``Unknown``, or short of SADDLE_TOL.
+       Some degenerate duels that run 1 leaves at ``Not Set`` certify
+       here.
     3. The same with presolve.  HiGHS skips presolve on a model that holds
        a useful basis, as an earlier run leaves behind, so each later run
        starts on a cleared solver.
@@ -485,6 +496,19 @@ def _row_lp(a: np.ndarray, shifted: bool = False) -> _LP:
         np.append(np.zeros(m), -1.0), np.append(np.zeros(m), -np.inf), np.full(m + 1, np.inf),
         np.append(np.full(n, -np.inf), 1.0), np.append(np.zeros(n), 1.0), start, index, value,
     )
+
+
+def _solve_game(a: np.ndarray, first: Iterable[_LP], name: str) -> tuple:
+    """(sigma, tau, value, residual) of game ``a``: _solve_lp on the layouts ``first``, then _row_lp's two.
+
+    _certify checks every answer on ``a``; the shifted game A + 1 - min A
+    has the same sigma, and tau still comes from the duals.  A layout in
+    ``first`` holding a value that HiGHS refuses, or a NaN, is left out,
+    since a refusal ends the ladder at once.
+    """
+    usable = [lp for lp in first if np.abs(lp.value).max() < _LARGE_MATRIX_VALUE]
+    layouts = itertools.chain(usable, (_row_lp(a, shifted) for shifted in (False, True)))
+    return _solve_lp(layouts, functools.partial(_certify, a), name)
 
 
 def _overtaken_at(x: np.ndarray, slope: np.ndarray, lead: int, cap: int) -> int:

@@ -8,7 +8,6 @@ game value is therefore 0 and both players share one optimal strategy.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,19 +17,16 @@ from .errors import InputError
 from .matrix_game import (
     DUST_TOL,
     MixedStrategy,
-    PayoffMatrix,
     _as_float_array,
     _as_int,
     _as_real,
-    _certify,
     _field,
-    _LARGE_MATRIX_VALUE,
     _LP,
-    _row_lp,
-    _solve_lp,
+    _solve_game,
     guard_cells,
-    solve_exact,
 )
+# Called nowhere: kept only for perfbench/spans.py's WRAPS; ROADMAP item 2 removes it.
+from .matrix_game import solve_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +58,10 @@ class TimingKernel:
         if a_upper.shape != (n, n):
             raise InputError("a_upper must be square over the grid")
         if self.factors is not None:
-            factors = tuple(np.array(f, dtype=float) for f in self.factors)
+            try:
+                factors = tuple(np.array(f, dtype=float) for f in self.factors)
+            except (TypeError, ValueError, OverflowError):  # not iterable, not numeric, ragged or past float64
+                factors = ()
             if len(factors) != 2 or factors[0].shape != factors[1].shape or factors[0].shape[1:] != (n,):
                 raise InputError("factors must be two arrays of shape (terms, grid_n)")
             for f in factors:
@@ -191,7 +190,7 @@ def verify_optimality(kernel: TimingKernel, strategy: MixedStrategy) -> tuple[fl
     return residual_eq11, residual_eq12
 
 
-# A coefficient that overflows is left non-finite, and solve_timing leaves that LP out.
+# A coefficient that overflows is left non-finite, and _solve_game leaves that LP out.
 @np.errstate(over="ignore", invalid="ignore")
 def _factored_lp(kernel: TimingKernel) -> _LP:
     """The row LP of the kernel's game in prefix-sum form, from its factors: O(n r) nonzeros.
@@ -251,50 +250,30 @@ def _factored_lp(kernel: TimingKernel) -> _LP:
         (rec_row + m, p_col + m - 1, -np.ones((d, n - 1))),  # and at m
         (j, np.full(n, n + d * n), np.ones(n)),  # v in every <= 0 row
     ))
-    keep = value != 0.0
-    row, col, value = row[keep], col[keep], value[keep]
     num_col = num_row = n + d * n + 1
-    order = np.argsort(col * num_row + row)
-    start = np.append(0, np.cumsum(np.bincount(col, minlength=num_col))).astype(np.int32)
     basic = np.ones(num_col + num_row, dtype=bool)
     basic[: n - 1] = False
     basic[num_col + int(np.argmin(kernel.matrix[-1]))] = False
     basic[num_col + n :] = False
     rhs = np.append(1.0, np.zeros(d * n))  # the sum row, then the recurrences
-    return _LP(
+    return _LP.from_entries(
         np.append(np.zeros(num_col - 1), -1.0), np.append(np.zeros(n), np.full(d * n + 1, -np.inf)),
         np.full(num_col, np.inf), np.append(np.full(n, -np.inf), rhs), np.append(np.zeros(n), rhs),
-        start, row[order].astype(np.int32), value[order], basic,
+        row, col, value, basic,
     )
 
 
 def solve_timing(kernel: TimingKernel) -> TimingSolution:
     """Solve the discretized timing game; both players share the strategy.
 
-    A kernel without factors is solve_exact's game.  One with factors is
-    solved by _solve_lp from _factored_lp and then, should no run of that
-    layout certify, from solve_exact's two dense layouts.  Either way
-    _certify checks the answer on the dense matrix.
+    _solve_game solves the kernel's dense game, first from _factored_lp
+    where the kernel has factors, and _certify checks every answer on the
+    dense matrix.  Cancelling coefficients can give factors that HiGHS
+    refuses, or that overflow, and _solve_game then leaves that LP out.
     """
-    a = kernel.matrix
-    if kernel.factors is None:
-        solution = solve_exact(PayoffMatrix(a))
-        strategy, value = solution.row_strategy, solution.value
-    else:
-        n = kernel.grid_n
-
-        def certify(x: np.ndarray, duals: np.ndarray) -> tuple:
-            # sigma and the <= 0 rows come first in every layout.
-            return _certify(a, x[:n], duals[:n])
-
-        # Cancelling coefficients can give factors that HiGHS refuses, or
-        # that overflow, beside entries it accepts; that LP is left out,
-        # since a refusal ends _solve_lp's ladder at once.
-        factored = _factored_lp(kernel)
-        first = [factored] if np.abs(factored.value).max() < _LARGE_MATRIX_VALUE else []
-        layouts = itertools.chain(first, (_row_lp(a, shifted) for shifted in (False, True)))
-        sigma, _, value, _ = _solve_lp(layouts, certify, "timing LP")
-        strategy = MixedStrategy(sigma)
+    first = [] if kernel.factors is None else [_factored_lp(kernel)]
+    sigma, _, value, _ = _solve_game(kernel.matrix, first, "timing LP")
+    strategy = MixedStrategy(sigma)
     points, has_zero_atom = spectrum(strategy, kernel)
     support_lo = float(points[0]) if points.size else 0.0  # all mass at the origin atom
     residual_eq11, residual_eq12 = verify_optimality(kernel, strategy)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.sparse import csc_array
+from scipy.sparse import coo_array, csc_array
 
 from conftest import CountingHighs, counted_loads
 from tosg import duel, matrix_game, timing
@@ -17,6 +17,7 @@ from tosg.matrix_game import (
     GameSolution,
     MixedStrategy,
     PayoffMatrix,
+    _LP,
     _highs_core,
     _load_lp,
     _row_lp,
@@ -92,6 +93,16 @@ tiny_and_unit_strategy = st.integers(1, 8).flatmap(
         )
     )
 )
+
+
+@st.composite
+def matrix_entries(draw):
+    """(shape, row, col, value): distinct (row, col) pairs in shuffled order, some of them 0.0 or -0.0."""
+    num_row, num_col = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, num_row * num_col - 1), unique=True, max_size=num_row * num_col))
+    value = draw(arrays(np.float64, len(cells), elements=st.one_of(st.sampled_from([0.0, -0.0]), entry)))
+    row, col = np.divmod(np.array(cells, dtype=int), num_col)
+    return (num_row, num_col), row, col, value
 
 
 def bordered_skew(rows) -> np.ndarray:
@@ -344,6 +355,24 @@ class TestGrowingGame:
         assert np.array_equal(lp.col_upper_, np.full(m + 1, np.inf))
         assert np.array_equal(lp.row_lower_, np.concatenate([np.full(n, -np.inf), [1.0]]))
         assert np.array_equal(lp.row_upper_, np.concatenate([np.zeros(n), [1.0]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix_entries())
+    def test_from_entries_packs_like_scipy(self, entries):
+        # The reference: scipy's column-wise form of the same triples.
+        (num_row, num_col), row, col, value = entries
+        reference = coo_array((value, (row, col)), shape=(num_row, num_col)).tocsc()
+        reference.eliminate_zeros()
+        reference.sort_indices()
+        lp = _LP.from_entries(
+            np.zeros(num_col), np.zeros(num_col), np.full(num_col, np.inf), np.zeros(num_row), np.zeros(num_row),
+            row, col, value,
+        )
+        assert lp.start.dtype == lp.index.dtype == np.int32
+        assert np.array_equal(lp.start, reference.indptr)
+        assert np.array_equal(lp.index, reference.indices)
+        assert np.array_equal(lp.value, reference.data)
+        assert lp.basic is None
 
 
 def fictitious_play_steps(game: PayoffMatrix, max_iterations: int) -> GameSolution:

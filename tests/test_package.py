@@ -46,8 +46,8 @@ def test_every_private_name_is_used_in_the_package():
     assert unused == []
 
 
-def calls(name: str) -> list[tuple[str, ast.Call]]:
-    """(enclosing function, call) for every call of ``name`` in src/tosg, as a name or an attribute."""
+def calls(name: str, sources: list[Path] = SOURCES) -> list[tuple[str, ast.Call]]:
+    """(enclosing function, call) for every call of ``name`` in ``sources``, as a name or an attribute."""
     found = []
 
     def visit(node: ast.AST, function: str) -> None:
@@ -59,7 +59,7 @@ def calls(name: str) -> list[tuple[str, ast.Call]]:
                 found.append((function, child))
             visit(child, function)
 
-    for path in SOURCES:
+    for path in sources:
         visit(ast.parse(path.read_text()), "<module>")
     return found
 
@@ -79,3 +79,15 @@ def test_only_the_ladder_loads_an_lp():
     # matrix_game._solve_lp is the one recovery ladder: every HiGHS model is
     # loaded there, so no solver grows a second ladder around its own load.
     assert [function for function, _ in calls("_load_lp")] == ["_solve_lp"]
+
+
+def test_only_matrix_game_packs_an_lp():
+    # matrix_game alone knows HiGHS's input: the column-wise matrix, which
+    # _LP.from_entries packs from (row, col, value) triples, and the limit
+    # on a matrix value.  So no other module builds an _LP by hand or reads
+    # _LARGE_MATRIX_VALUE.
+    others = [path for path in SOURCES if path.name != "matrix_game.py"]
+    assert calls("_LP", others) == []
+    assert sorted(function for function, _ in calls("from_entries", others)) == ["_duel_lp", "_factored_lp"]
+    for path in others:
+        assert references(ast.parse(path.read_text()))["_LARGE_MATRIX_VALUE"] == 0, path.name

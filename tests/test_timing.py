@@ -359,7 +359,7 @@ class TestFactoredLP:
             assert highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal, n
             assert highs.getInfo().simplex_iteration_count <= budget
             solution = highs.getSolution()
-            _certify(kernel.matrix, np.array(solution.col_value)[:n], np.array(solution.row_dual)[:n])
+            _certify(kernel.matrix, np.array(solution.col_value), np.array(solution.row_dual))
             runs = []
             counted_loads(monkeypatch, runs, LadderHighs)
             solve_timing(kernel)
@@ -395,8 +395,24 @@ class TestFactoredLP:
         assert TimingKernel(grid, a_upper).factors is None
         a, b = DUEL_201.factors
         assert TimingKernel(grid, a_upper, factors=(np.full_like(a, np.inf), b)).factors is None
-        with pytest.raises(InputError, match="factors"):
-            TimingKernel(grid, a_upper, factors=(a, b[:, 1:]))
+
+        def generator(x, y):  # its factors reach the same check through build_kernel
+            return x - y + x * y
+
+        malformed = [
+            (a, b[:, 1:]),
+            (["a"] * 201, [1.0] * 201),  # not numeric
+            ([[1.0] * 201, [1.0]], b[:2]),  # ragged
+            ([[1.0] * 201], [[10**400] * 201]),  # past float64
+            3,  # not a pair
+            (a,),
+        ]
+        for factors in malformed:
+            generator.factors = lambda grid: factors
+            with pytest.raises(InputError, match=r"factors must be two arrays of shape \(terms, grid_n\)"):
+                TimingKernel(grid, a_upper, factors=factors)
+            with pytest.raises(InputError, match=r"factors must be two arrays of shape \(terms, grid_n\)"):
+                build_kernel(generator, 201)
 
     @pytest.mark.parametrize(
         "a,b",
